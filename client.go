@@ -1,19 +1,22 @@
 package bcrdb
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	mrand "math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
-	"bcrdb/internal/ordering"
-	"bcrdb/internal/simnet"
+	"bcrdb/internal/transport"
 )
 
 // RetryPolicy configures client-side resubmission (Options.Retry).
@@ -56,36 +59,97 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Client submits signed transactions on behalf of one user and listens
-// for commit notifications (§2(7): transactions are asynchronous).
+// RemoteConfig configures a client that reaches a bcrdb-server over the
+// wire instead of living inside the fabric process.
+type RemoteConfig struct {
+	// URL is the base URL of a bcrdb-server ("http://host:port").
+	URL string
+	// Username must be declared in the server network's Options.Orgs
+	// (or be an "admin@<org>" administrator).
+	Username string
+	// Org is the user's organization. Empty defaults to the org of the
+	// node behind URL.
+	Org string
+	// IdentitySecret must equal the server network's IdentitySecret —
+	// the client derives its signing key from it, and the server-side
+	// nodes verify signatures against the genesis certificates.
+	IdentitySecret string
+	// Retry follows the same semantics as Options.Retry.
+	Retry RetryPolicy
+}
+
+// errInProcessOnly is returned by the calls that need the in-process
+// network rather than one node's transport.
+var errInProcessOnly = errors.New("bcrdb: QueryAll and ExecPrivate need an in-process client (Network.Client)")
+
+// Client submits signed transactions on behalf of one user and learns
+// their outcomes from its home node's commit stream (§2(7): transactions
+// are asynchronous). It reaches the node through a transport.Transport:
+// Network.Client holds a transport.Direct on the user's org node,
+// DialRemote the HTTP transport to a bcrdb-server. Everything else —
+// transaction building, retry with failover, the sys_ledger fallback —
+// is the same code for both.
 //
 // In the execute-order-in-parallel flow a client submits to its home
 // database node, tagging the transaction with the node's current block
 // height as the snapshot; in order-then-execute it submits directly to an
 // ordering node.
 type Client struct {
-	nw     *Network
+	tr     transport.Transport
 	signer *identity.Signer
-	home   *core.Node
-	ep     *simnet.Endpoint
+	flow   Flow
+	retry  RetryPolicy
+
+	// nw and home are set for in-process clients only: QueryAll reads
+	// every node and ExecPrivate writes the home node's private schema.
+	nw   *Network
+	home *core.Node
+
+	// ctx is cancelled by Close; it wakes every blocked wait (retry
+	// backoff, Await, the stream follower).
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// rng drives retry jitter. Per-client and explicitly seeded so two
 	// networks built with the same RetryPolicy.Seed produce identical
-	// backoff schedules — the global math/rand source made chaos runs
-	// unrepeatable however carefully everything else was seeded.
+	// backoff schedules.
 	rngMu sync.Mutex
 	rng   *mrand.Rand
 
 	// backoffHook observes each computed retry wait (tests only).
 	backoffHook func(time.Duration)
+	retries     atomic.Int64 // resubmissions (Network.ClientRetries sums them)
+
+	// followMu guards starting the commit-stream follower, which runs
+	// from the first submission that waits for a result until Close.
+	followMu  sync.Mutex
+	following bool
+	wg        sync.WaitGroup
 
 	mu      sync.Mutex
 	waiters map[string][]chan TxResult
 }
 
+func newClient(tr transport.Transport, signer *identity.Signer, flow Flow, retry RetryPolicy) *Client {
+	seed := retry.Seed
+	if seed == 0 {
+		seed = mrand.Int63()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Client{
+		tr:      tr,
+		signer:  signer,
+		flow:    flow,
+		retry:   retry,
+		ctx:     ctx,
+		cancel:  cancel,
+		rng:     mrand.New(mrand.NewSource(seed ^ int64(transport.Hash(signer.Name)))),
+		waiters: make(map[string][]chan TxResult),
+	}
+}
+
 // Client returns (creating on first use) the client handle for a user
-// registered in Options.Orgs. Home nodes are assigned round-robin by
-// user order within the org.
+// registered in Options.Orgs. Its home node is its org's node.
 func (nw *Network) Client(username string) *Client {
 	nw.clientMu.Lock()
 	defer nw.clientMu.Unlock()
@@ -96,70 +160,138 @@ func (nw *Network) Client(username string) *Client {
 	if signer == nil {
 		panic(fmt.Sprintf("bcrdb: unknown user %q (declare it in Options.Orgs)", username))
 	}
-	// Home node: the user's org's node.
-	var home *core.Node
+	home := nw.nodes[0]
 	for _, n := range nw.nodes {
 		if n.Org() == signer.Org {
 			home = n
 			break
 		}
 	}
-	if home == nil {
-		home = nw.nodes[0]
+	// The transport's fabric endpoint is named after the user, so link
+	// faults can target a client; on a name collision it falls back to
+	// a suffixed name.
+	d, err := transport.NewDirect(nw.net, username, home, nw.opts.Flow, nw.orderers)
+	if err != nil {
+		d, err = transport.NewDirect(nw.net, username+".client", home, nw.opts.Flow, nw.orderers)
 	}
-	seed := nw.opts.Retry.Seed
-	if seed == 0 {
-		seed = mrand.Int63()
+	var tr transport.Transport = d
+	if err != nil {
+		// The fabric is closed (or both names are taken): the client
+		// starts closed.
+		tr = closedTransport{}
 	}
-	c := &Client{
-		nw:      nw,
-		signer:  signer,
-		home:    home,
-		rng:     mrand.New(mrand.NewSource(seed ^ int64(fnvIdx(username)))),
-		waiters: make(map[string][]chan TxResult),
-	}
-	ep, err := nw.net.Register(username, c.onNotify)
-	if err == nil {
-		c.ep = ep
-	} else {
-		// Name collision (e.g. restarted client): fall back to a
-		// uniquely suffixed endpoint; push notifications then miss, but
-		// local subscriptions still work.
-		ep, err = nw.net.Register(username+".client", c.onNotify)
-		if err == nil {
-			c.ep = ep
-		}
+	c := newClient(tr, signer, nw.opts.Flow, nw.opts.Retry)
+	c.nw, c.home = nw, home
+	if err != nil {
+		c.cancel()
 	}
 	nw.clients[username] = c
 	return c
 }
 
-func (c *Client) close() {
-	if c.ep != nil {
-		c.ep.Unregister()
+// DialRemote connects to a bcrdb-server and derives the user's identity
+// from the shared secret. The returned client is the same Client an
+// in-process network hands out, over the HTTP transport; the caller
+// closes it.
+func DialRemote(cfg RemoteConfig) (*Client, error) {
+	if cfg.URL == "" || cfg.Username == "" {
+		return nil, errors.New("bcrdb: RemoteConfig needs URL and Username")
 	}
+	if cfg.IdentitySecret == "" {
+		return nil, errors.New("bcrdb: RemoteConfig needs the cluster's IdentitySecret")
+	}
+	tr := transport.Dial(cfg.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	info, err := tr.Info(ctx)
+	cancel()
+	if err != nil {
+		return nil, fmt.Errorf("bcrdb: dial %s: %w", cfg.URL, err)
+	}
+	org := cfg.Org
+	if org == "" {
+		org = info.Org
+	}
+	role := identity.RoleClient
+	if strings.HasPrefix(cfg.Username, "admin@") {
+		role = identity.RoleAdmin
+	}
+	signer, err := identity.Deterministic(cfg.Username, org, role, cfg.IdentitySecret)
+	if err != nil {
+		return nil, err
+	}
+	flow := ExecuteOrder
+	if info.Flow == "order-execute" {
+		flow = OrderThenExecute
+	}
+	return newClient(tr, signer, flow, cfg.Retry), nil
 }
+
+// Close stops the client: blocked Invokes and Awaits return ErrClosed,
+// the commit-stream follower exits and the transport is released.
+// Network.Close closes the in-process clients; the caller of DialRemote
+// closes a dialed one. Safe to call more than once.
+func (c *Client) Close() error {
+	c.cancel()
+	c.followMu.Lock()
+	c.following = true // no follower may start after this point
+	c.followMu.Unlock()
+	c.wg.Wait()
+	return c.tr.Close()
+}
+
+func (c *Client) closed() bool { return c.ctx.Err() != nil }
 
 // Username returns the client's user name.
 func (c *Client) Username() string { return c.signer.Name }
 
-// Home returns the client's home database node.
-func (c *Client) Home() *core.Node { return c.home }
+// Info reports the home node's identity and heights.
+func (c *Client) Info() (transport.Info, error) { return c.tr.Info(c.ctx) }
 
-func (c *Client) onNotify(m simnet.Message) {
-	if m.Kind != core.KindNotify {
-		return
+// follow starts the commit-stream follower unless it runs already. The
+// first stream is opened before returning, so a submission made after
+// follow cannot commit unseen.
+func (c *Client) follow() error {
+	c.followMu.Lock()
+	defer c.followMu.Unlock()
+	if c.closed() {
+		return ErrClosed
 	}
-	// Every replica pushes a notification as it seals; honor only the
-	// home node's so Invoke-then-Query reads the client's own writes
-	// (a faster replica's push would race the home node's commit).
-	if m.From != c.home.Name() {
-		return
+	if c.following {
+		return nil
 	}
-	r, err := core.DecodeResult(m.Payload)
+	ch, stop, err := c.tr.CommitStream(c.ctx)
 	if err != nil {
-		return
+		return err
 	}
+	c.following = true
+	c.wg.Add(1)
+	go c.followCommits(ch, stop)
+	return nil
+}
+
+// followCommits hands each streamed result to its waiters and redials,
+// with backoff, whenever the stream drops. Results committed while no
+// stream was connected are recovered by Invoke's sys_ledger lookup.
+func (c *Client) followCommits(ch <-chan TxResult, stop func()) {
+	defer c.wg.Done()
+	for {
+		for r := range ch {
+			c.dispatch(r)
+		}
+		stop()
+		for redial := 50 * time.Millisecond; ; redial = min(2*redial, 2*time.Second) {
+			if !c.sleep(redial) {
+				return
+			}
+			var err error
+			if ch, stop, err = c.tr.CommitStream(c.ctx); err == nil {
+				break
+			}
+		}
+	}
+}
+
+func (c *Client) dispatch(r TxResult) {
 	c.mu.Lock()
 	chans := c.waiters[r.ID]
 	delete(c.waiters, r.ID)
@@ -172,61 +304,7 @@ func (c *Client) onNotify(m simnet.Message) {
 	}
 }
 
-// buildTx signs a transaction. For ExecuteOrder the snapshot is the home
-// node's current height (the paper: "the client can obtain this from the
-// peer it is connected with") and the id is the §3.4.3 deterministic hash
-// — identical (user, contract, args, snapshot) share an id by design. In
-// OrderThenExecute the id is client-chosen and unique (§3.3), so retries
-// of failed invocations work naturally.
-func (c *Client) buildTx(contract string, args []Value) *ledger.Transaction {
-	tx := &ledger.Transaction{
-		Username: c.signer.Name,
-		Contract: contract,
-		Args:     args,
-	}
-	if c.nw.opts.Flow == ExecuteOrder {
-		tx.Snapshot = c.home.Height()
-		tx.ID = ledger.ComputeID(c.signer.Name, contract, args, tx.Snapshot)
-	} else {
-		var nonce [16]byte
-		if _, err := rand.Read(nonce[:]); err != nil {
-			panic(err) // crypto/rand failure is unrecoverable
-		}
-		tx.ID = hex.EncodeToString(nonce[:])
-	}
-	tx.Signature = c.signer.Sign(tx.SignBytes())
-	return tx
-}
-
-// submitTarget picks the endpoint for one submission attempt. Attempt 0
-// is the normal route (home node / id-chosen orderer); each retry fails
-// over to the next database node (execute-order) or the next orderer
-// (order-then-execute).
-func (c *Client) submitTarget(tx *ledger.Transaction, attempt int) (name, kind string) {
-	if c.nw.opts.Flow == ExecuteOrder {
-		nodes := c.nw.nodes
-		idx := 0
-		for i, n := range nodes {
-			if n == c.home {
-				idx = i
-				break
-			}
-		}
-		return nodes[(idx+attempt)%len(nodes)].Name(), core.KindSubmit
-	}
-	return c.nw.orderers[(fnvIdx(tx.ID)+attempt)%len(c.nw.orderers)], ordering.KindSubmit
-}
-
-func fnvIdx(s string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h & 0x7fffffff)
-}
-
-// addWaiter registers a push-notification waiter for a tx id.
+// addWaiter registers a result waiter for a tx id.
 func (c *Client) addWaiter(id string) <-chan TxResult {
 	ch := make(chan TxResult, 1)
 	c.mu.Lock()
@@ -254,26 +332,53 @@ func (c *Client) removeWaiter(id string, ch <-chan TxResult) {
 	c.mu.Unlock()
 }
 
+// buildTx signs a transaction. For ExecuteOrder the snapshot is the home
+// node's current height (the paper: "the client can obtain this from the
+// peer it is connected with") and the id is the §3.4.3 deterministic hash
+// — identical (user, contract, args, snapshot) share an id by design. In
+// OrderThenExecute the id is client-chosen and unique (§3.3), so retries
+// of failed invocations work naturally.
+func (c *Client) buildTx(contract string, args []Value) (*ledger.Transaction, error) {
+	if c.closed() {
+		return nil, ErrClosed
+	}
+	tx := &ledger.Transaction{
+		Username: c.signer.Name,
+		Contract: contract,
+		Args:     args,
+	}
+	if c.flow == ExecuteOrder {
+		info, err := c.tr.Info(c.ctx)
+		if err != nil {
+			return nil, fmt.Errorf("bcrdb: fetch snapshot height: %w", err)
+		}
+		tx.Snapshot = info.Height
+		tx.ID = ledger.ComputeID(c.signer.Name, contract, args, tx.Snapshot)
+	} else {
+		var nonce [16]byte
+		if _, err := rand.Read(nonce[:]); err != nil {
+			panic(err) // crypto/rand failure is unrecoverable
+		}
+		tx.ID = hex.EncodeToString(nonce[:])
+	}
+	tx.Signature = c.signer.Sign(tx.SignBytes())
+	return tx, nil
+}
+
 // submit signs and sends without waiting; returns the transaction id.
 func (c *Client) submit(contract string, args []Value) (string, error) {
-	if c.nw.closed.Load() {
-		return "", ErrClosed
+	tx, err := c.buildTx(contract, args)
+	if err != nil {
+		return "", err
 	}
-	tx := c.buildTx(contract, args)
-	payload := ledger.MarshalTransaction(tx)
-	if c.ep == nil {
-		return "", fmt.Errorf("bcrdb: client %s has no network endpoint", c.signer.Name)
-	}
-	target, kind := c.submitTarget(tx, 0)
-	return tx.ID, c.ep.Send(target, kind, payload)
+	return tx.ID, c.tr.SubmitAttempt(c.ctx, ledger.MarshalTransaction(tx), 0)
 }
 
 // PendingTx is an in-flight transaction.
 type PendingTx struct {
-	ID   string
-	c    *Client
-	ch   <-chan TxResult // home-node subscription
-	push <-chan TxResult // client push-notification waiter
+	ID string
+	c  *Client
+	ch <-chan TxResult
 }
 
 // Submit signs and submits a transaction asynchronously. Await the
@@ -281,61 +386,41 @@ type PendingTx struct {
 // (user, contract, args, snapshot) share an id (§3.4.3) — include a
 // nonce argument in the contract when replays must be distinct.
 func (c *Client) Submit(contract string, args ...Value) (*PendingTx, error) {
-	tx := c.buildTx(contract, args)
-	return c.send(tx, ledger.MarshalTransaction(tx), 0)
-}
-
-// send registers both result channels (home-node subscription and
-// push-notification waiter) and ships the payload to the attempt's
-// target, deregistering on send failure.
-func (c *Client) send(tx *ledger.Transaction, payload []byte, attempt int) (*PendingTx, error) {
-	if c.nw.closed.Load() {
-		return nil, ErrClosed
-	}
-	if c.ep == nil {
-		return nil, fmt.Errorf("bcrdb: client %s has no network endpoint", c.signer.Name)
-	}
-	sub := c.home.Subscribe(tx.ID)
-	push := c.addWaiter(tx.ID)
-	target, kind := c.submitTarget(tx, attempt)
-	if err := c.ep.Send(target, kind, payload); err != nil {
-		c.home.Unsubscribe(tx.ID, sub)
-		c.removeWaiter(tx.ID, push)
+	tx, err := c.buildTx(contract, args)
+	if err != nil {
 		return nil, err
 	}
-	return &PendingTx{ID: tx.ID, c: c, ch: sub, push: push}, nil
+	return c.send(tx.ID, ledger.MarshalTransaction(tx), 0)
+}
+
+// send registers a result waiter and ships the payload on the attempt's
+// route, deregistering on send failure.
+func (c *Client) send(id string, payload []byte, attempt int) (*PendingTx, error) {
+	if err := c.follow(); err != nil {
+		return nil, err
+	}
+	ch := c.addWaiter(id)
+	if err := c.tr.SubmitAttempt(c.ctx, payload, attempt); err != nil {
+		c.removeWaiter(id, ch)
+		return nil, err
+	}
+	return &PendingTx{ID: id, c: c, ch: ch}, nil
 }
 
 // Await blocks for the transaction result. Whatever the outcome, the
-// pending transaction's channel registrations are released on return: a
-// timed-out Await no longer leaks its node-side subscription or its
-// client-side waiter entry.
+// waiter is released on return: a timed-out Await does not leak its
+// entry.
 func (p *PendingTx) Await(timeout time.Duration) (TxResult, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	defer p.release()
+	defer p.c.removeWaiter(p.ID, p.ch)
 	select {
 	case r := <-p.ch:
 		return r, nil
-	case r := <-p.push:
-		return r, nil
-	case <-p.c.nw.closedCh:
+	case <-p.c.ctx.Done():
 		return TxResult{}, ErrClosed
 	case <-timer.C:
 		return TxResult{}, fmt.Errorf("bcrdb: timeout waiting for tx %s", p.ID)
-	}
-}
-
-// release deregisters the pending transaction's result channels.
-func (p *PendingTx) release() {
-	if p.c == nil {
-		return
-	}
-	if p.ch != nil {
-		p.c.home.Unsubscribe(p.ID, p.ch)
-	}
-	if p.push != nil {
-		p.c.removeWaiter(p.ID, p.push)
 	}
 }
 
@@ -359,7 +444,7 @@ func (e *UnresolvedError) Unwrap() error { return e.Last }
 // lookupLedger consults the replicated ledger table for a transaction's
 // terminal state — authoritative when a result notification was lost.
 func (c *Client) lookupLedger(id string) (TxResult, bool) {
-	res, err := c.home.Query(`SELECT block, status FROM sys_ledger WHERE txid = $1`, Text(id))
+	res, err := c.tr.Query(c.ctx, -1, `SELECT block, status FROM sys_ledger WHERE txid = $1`, []Value{Text(id)})
 	if err != nil || len(res.Rows) == 0 {
 		return TxResult{}, false
 	}
@@ -375,15 +460,19 @@ func (c *Client) lookupLedger(id string) (TxResult, bool) {
 }
 
 // Invoke submits a transaction and waits for its result, retrying per
-// Options.Retry (default: one attempt, 30s). Retries resubmit the SAME
-// signed transaction — the ordering service and nodes deduplicate by id,
-// so resubmission is idempotent — and fail over to a different target
-// each attempt. Before each retry (and before giving up) the replicated
-// ledger is consulted, which resolves transactions that committed while
-// their notification was lost.
+// the client's RetryPolicy (default: one attempt, 30s). Retries resubmit
+// the SAME signed transaction — the ordering service and nodes
+// deduplicate by id, so resubmission is idempotent — and fail over to a
+// different target each attempt (the transport's route). Before each
+// retry (and before giving up) the replicated ledger is consulted, which
+// resolves transactions that committed while their notification was
+// lost.
 func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
-	pol := c.nw.opts.Retry.withDefaults()
-	tx := c.buildTx(contract, args)
+	pol := c.retry.withDefaults()
+	tx, err := c.buildTx(contract, args)
+	if err != nil {
+		return TxResult{}, err
+	}
 	payload := ledger.MarshalTransaction(tx)
 	backoff := pol.Backoff
 	var lastErr error
@@ -393,25 +482,22 @@ func (c *Client) Invoke(contract string, args ...Value) (TxResult, error) {
 			if c.backoffHook != nil {
 				c.backoffHook(wait)
 			}
-			// Wait close-aware: Network.Close wakes every sleeping
-			// retry immediately instead of letting it fire attempts
-			// into a stopped fabric seconds later.
+			// Wait close-aware: Close wakes every sleeping retry
+			// immediately instead of letting it fire attempts into a
+			// stopped fabric seconds later.
 			if !c.sleep(wait) {
 				return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrClosed}
 			}
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			c.home.Metrics().ClientRetries.Add(1)
+			backoff = min(2*backoff, pol.MaxBackoff)
+			c.retries.Add(1)
 			if r, ok := c.lookupLedger(tx.ID); ok {
 				return r, nil
 			}
 		}
-		if c.nw.closed.Load() {
+		p, err := c.send(tx.ID, payload, attempt)
+		if errors.Is(err, ErrClosed) {
 			return TxResult{}, &UnresolvedError{ID: tx.ID, Attempts: attempt, Last: ErrClosed}
 		}
-		p, err := c.send(tx, payload, attempt)
 		if err != nil {
 			lastErr = err
 			continue
@@ -436,14 +522,14 @@ func (c *Client) jitter(n int64) int64 {
 	return v
 }
 
-// sleep waits for d, returning false if the network closed first.
+// sleep waits for d, returning false if the client closed first.
 func (c *Client) sleep(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-c.nw.closedCh:
+	case <-c.ctx.Done():
 		return false
 	}
 }
@@ -453,25 +539,32 @@ func (c *Client) sleep(d time.Duration) bool {
 // recorded on the chain (§3.7); clients distrusting their node can issue
 // the query against several nodes and compare (§3.5(5)).
 func (c *Client) Query(sql string, params ...Value) (*Result, error) {
-	return c.home.Query(sql, params...)
+	return c.tr.Query(c.ctx, -1, sql, params)
 }
 
 // QueryAt runs a read-only query at a historic block height.
 func (c *Client) QueryAt(height int64, sql string, params ...Value) (*Result, error) {
-	return c.home.QueryAt(height, sql, params...)
+	return c.tr.Query(c.ctx, height, sql, params)
 }
 
 // ExecPrivate runs a statement on the home node's non-blockchain schema
 // (§3.7): node-local tables for the client's own organization, joinable
 // with blockchain tables in read-only queries but invisible to contracts
-// and consensus.
+// and consensus. In-process clients only.
 func (c *Client) ExecPrivate(sql string, params ...Value) (*Result, error) {
+	if c.home == nil {
+		return nil, errInProcessOnly
+	}
 	return c.home.ExecPrivate(sql, params...)
 }
 
 // QueryAll runs the query on every node and returns an error if any two
-// disagree — the cross-checking read of §3.5(5).
+// disagree — the cross-checking read of §3.5(5). In-process clients
+// only.
 func (c *Client) QueryAll(sql string, params ...Value) (*Result, error) {
+	if c.nw == nil {
+		return nil, errInProcessOnly
+	}
 	h := c.nw.nodes[0].Height()
 	for _, n := range c.nw.nodes[1:] {
 		if nh := n.Height(); nh < h {
@@ -514,3 +607,19 @@ func sameResult(a, b *engine.Result) bool {
 	}
 	return true
 }
+
+// closedTransport stands in for a transport that could not be built
+// because the fabric was already closed: every call fails.
+type closedTransport struct{}
+
+func (closedTransport) Info(context.Context) (transport.Info, error) {
+	return transport.Info{}, ErrClosed
+}
+func (closedTransport) SubmitAttempt(context.Context, []byte, int) error { return ErrClosed }
+func (closedTransport) Query(context.Context, int64, string, []Value) (*Result, error) {
+	return nil, ErrClosed
+}
+func (closedTransport) CommitStream(context.Context) (<-chan TxResult, func(), error) {
+	return nil, nil, ErrClosed
+}
+func (closedTransport) Close() error { return nil }

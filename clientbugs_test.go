@@ -7,16 +7,58 @@ import (
 	"time"
 )
 
-// stalledNetwork builds a network whose transactions can never resolve
-// (every orderer is stopped), forcing Invoke into its retry loop.
-func stalledNetwork(t *testing.T, retry RetryPolicy) *Network {
+// clientTransport is one way a Client reaches its home node. The client
+// regression tests run once per transport: the client code is the same,
+// only the transport under it differs.
+type clientTransport struct {
+	name string
+	// client returns alice's client and the call that closes it: the
+	// network's Close for an in-process client; for a dialed one, the
+	// client's own Close (then the network's, so no test leaks it).
+	client func(t *testing.T, nw *Network) (*Client, func())
+}
+
+var clientTransports = []clientTransport{
+	{"Direct", func(t *testing.T, nw *Network) (*Client, func()) {
+		return nw.Client("alice"), nw.Close
+	}},
+	{"HTTP", func(t *testing.T, nw *Network) (*Client, func()) {
+		t.Helper()
+		srv, err := nw.Serve(0, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c, err := DialRemote(RemoteConfig{URL: srv.URL(), Username: "alice",
+			IdentitySecret: nw.opts.IdentitySecret, Retry: nw.opts.Retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, func() { c.Close(); nw.Close() }
+	}},
+}
+
+// clientTestNetwork builds the demo network with the given retry policy
+// and the shared identity secret a dialed client needs.
+func clientTestNetwork(t *testing.T, flow Flow, retry RetryPolicy) *Network {
 	t.Helper()
-	opts := demoOptions(ExecuteOrder)
+	opts := demoOptions(flow)
+	opts.IdentitySecret = "client-test-secret"
 	opts.Retry = retry
 	nw, err := NewNetwork(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(nw.Close)
+	return nw
+}
+
+// stalledNetwork builds a network whose transactions can never resolve
+// (every orderer is stopped), forcing Invoke into its retry loop.
+func stalledNetwork(t *testing.T, retry RetryPolicy) *Network {
+	t.Helper()
+	nw := clientTestNetwork(t, ExecuteOrder, retry)
 	for i := range nw.Orderers() {
 		nw.StopOrderer(i)
 	}
@@ -27,41 +69,43 @@ func stalledNetwork(t *testing.T, retry RetryPolicy) *Network {
 // uncancelable retry sleep: Invoke used time.Sleep between attempts, so
 // closing the network left the goroutine sleeping out its full backoff
 // before firing another attempt into a stopped fabric. The wait must
-// end the moment the network closes, with the typed ErrClosed.
+// end the moment the client closes, with the typed ErrClosed.
 func TestInvokeBackoffWakesOnClose(t *testing.T) {
-	nw := stalledNetwork(t, RetryPolicy{
-		Attempts: 10,
-		Timeout:  50 * time.Millisecond,
-		Backoff:  10 * time.Second, // pre-fix: Close would strand Invoke for seconds
-	})
-	defer nw.Close()
+	for _, tt := range clientTransports {
+		t.Run(tt.name, func(t *testing.T) {
+			nw := stalledNetwork(t, RetryPolicy{
+				Attempts: 10,
+				Timeout:  50 * time.Millisecond,
+				Backoff:  10 * time.Second, // pre-fix: Close would strand Invoke for seconds
+			})
+			alice, closeClient := tt.client(t, nw)
+			done := make(chan error, 1)
+			go func() {
+				_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
+				done <- err
+			}()
 
-	alice := nw.Client("alice")
-	done := make(chan error, 1)
-	go func() {
-		_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
-		done <- err
-	}()
+			// Let the first attempt time out and the retry enter its backoff.
+			time.Sleep(300 * time.Millisecond)
+			start := time.Now()
+			closeClient()
 
-	// Let the first attempt time out and the retry enter its backoff.
-	time.Sleep(300 * time.Millisecond)
-	start := time.Now()
-	nw.Close()
-
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Invoke after close returned %v, want ErrClosed", err)
-		}
-		var ue *UnresolvedError
-		if !errors.As(err, &ue) {
-			t.Fatalf("want *UnresolvedError, got %T", err)
-		}
-		if woke := time.Since(start); woke > 2*time.Second {
-			t.Fatalf("Invoke took %v to observe close (backoff not interrupted)", woke)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Invoke still blocked 5s after Close — backoff sleep is uncancelable")
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("Invoke after close returned %v, want ErrClosed", err)
+				}
+				var ue *UnresolvedError
+				if !errors.As(err, &ue) {
+					t.Fatalf("want *UnresolvedError, got %T", err)
+				}
+				if woke := time.Since(start); woke > 2*time.Second {
+					t.Fatalf("Invoke took %v to observe close (backoff not interrupted)", woke)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Invoke still blocked 5s after Close — backoff sleep is uncancelable")
+			}
+		})
 	}
 }
 
@@ -69,13 +113,16 @@ func TestInvokeBackoffWakesOnClose(t *testing.T) {
 // Network.Close: submissions racing or following Close must fail fast
 // with ErrClosed instead of hanging on a dead fabric.
 func TestCloseFencesConcurrentUse(t *testing.T) {
-	opts := demoOptions(ExecuteOrder)
-	opts.Retry = RetryPolicy{Attempts: 3, Timeout: 10 * time.Second, Backoff: 50 * time.Millisecond}
-	nw, err := NewNetwork(opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, tt := range clientTransports {
+		t.Run(tt.name, func(t *testing.T) {
+			testCloseFencesConcurrentUse(t, tt)
+		})
 	}
-	alice := nw.Client("alice")
+}
+
+func testCloseFencesConcurrentUse(t *testing.T, tt clientTransport) {
+	nw := clientTestNetwork(t, ExecuteOrder, RetryPolicy{Attempts: 3, Timeout: 10 * time.Second, Backoff: 50 * time.Millisecond})
+	alice, closeClient := tt.client(t, nw)
 
 	// Concurrent invokes racing Close: none may hang or panic.
 	var wg sync.WaitGroup
@@ -88,8 +135,8 @@ func TestCloseFencesConcurrentUse(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(20 * time.Millisecond)
-	nw.Close()
-	nw.Close() // idempotent
+	closeClient()
+	closeClient() // idempotent
 
 	raced := make(chan struct{})
 	go func() { wg.Wait(); close(raced) }()
@@ -112,7 +159,7 @@ func TestCloseFencesConcurrentUse(t *testing.T) {
 
 	// Use strictly after Close: typed error, immediately.
 	start := time.Now()
-	_, err = alice.Invoke("transfer", Int(1), Int(2), Float(1))
+	_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Invoke after Close returned %v, want ErrClosed", err)
 	}
@@ -132,34 +179,98 @@ func TestCloseFencesConcurrentUse(t *testing.T) {
 // two networks must produce identical backoff schedules for the same
 // client, whatever else the process has done with math/rand.
 func TestRetryJitterDeterministic(t *testing.T) {
-	schedule := func() []time.Duration {
-		nw := stalledNetwork(t, RetryPolicy{
-			Attempts: 4,
-			Timeout:  20 * time.Millisecond,
-			Backoff:  80 * time.Millisecond,
-			Seed:     7,
-		})
-		defer nw.Close()
-		alice := nw.Client("alice")
-		var waits []time.Duration
-		alice.backoffHook = func(d time.Duration) { waits = append(waits, d) }
-		_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
-		var ue *UnresolvedError
-		if !errors.As(err, &ue) {
-			t.Fatalf("stalled invoke returned %v, want UnresolvedError", err)
-		}
-		return waits
-	}
+	for _, tt := range clientTransports {
+		t.Run(tt.name, func(t *testing.T) {
+			schedule := func() []time.Duration {
+				nw := stalledNetwork(t, RetryPolicy{
+					Attempts: 4,
+					Timeout:  20 * time.Millisecond,
+					Backoff:  80 * time.Millisecond,
+					Seed:     7,
+				})
+				alice, closeClient := tt.client(t, nw)
+				defer closeClient()
+				var waits []time.Duration
+				alice.backoffHook = func(d time.Duration) { waits = append(waits, d) }
+				_, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
+				var ue *UnresolvedError
+				if !errors.As(err, &ue) {
+					t.Fatalf("stalled invoke returned %v, want UnresolvedError", err)
+				}
+				return waits
+			}
 
-	a := schedule()
-	b := schedule()
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("want 3 recorded backoffs per run, got %d and %d", len(a), len(b))
+			a := schedule()
+			b := schedule()
+			if len(a) != 3 || len(b) != 3 {
+				t.Fatalf("want 3 recorded backoffs per run, got %d and %d", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("same-seed backoff schedules diverge at attempt %d: %v vs %v\nfull: %v vs %v",
+						i+1, a[i], b[i], a, b)
+				}
+			}
+		})
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same-seed backoff schedules diverge at attempt %d: %v vs %v\nfull: %v vs %v",
-				i+1, a[i], b[i], a, b)
-		}
+}
+
+// TestInvokeFailsOver: when an attempt's target is down, Invoke's retry
+// takes the next route and the transaction commits on a later attempt.
+// Execute-order loses the home node's endpoint, so the retry goes to
+// the next node; order-then-execute loses one orderer, so a transaction
+// whose id routes there retries on the next orderer.
+func TestInvokeFailsOver(t *testing.T) {
+	retry := RetryPolicy{Attempts: 6, Timeout: 2 * time.Second, Backoff: 50 * time.Millisecond}
+	for _, tt := range clientTransports {
+		t.Run(tt.name+"/ExecuteOrder", func(t *testing.T) {
+			nw := clientTestNetwork(t, ExecuteOrder, retry)
+			alice, _ := tt.client(t, nw)
+			home := nw.Node(0)
+			h0 := nw.Node(1).Height()
+			nw.Net().StopEndpoint(home.Name())
+
+			type outcome struct {
+				res TxResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := alice.Invoke("transfer", Int(1), Int(2), Float(1))
+				done <- outcome{res, err}
+			}()
+			// The retry lands on the next node, which gets the
+			// transaction ordered without the home node; bring the home
+			// node back so it catches up and reports the commit.
+			waitFor(t, "commit without the home node", func() bool { return nw.Node(1).Height() > h0 })
+			nw.Net().RestartEndpoint(home.Name())
+			select {
+			case o := <-done:
+				if o.err != nil || !o.res.Committed {
+					t.Fatalf("Invoke = %+v, %v; want a commit", o.res, o.err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("Invoke did not return after the home node came back")
+			}
+			if alice.retries.Load() == 0 {
+				t.Fatal("committed without a retry: the failover path was not taken")
+			}
+		})
+		t.Run(tt.name+"/OrderThenExecute", func(t *testing.T) {
+			nw := clientTestNetwork(t, OrderThenExecute, retry)
+			alice, _ := tt.client(t, nw)
+			// Orderer 1 delivers to node 1 only, so alice's home node
+			// keeps its deliveries; a third of the ids route to it.
+			nw.StopOrderer(1)
+			for i := 0; alice.retries.Load() == 0; i++ {
+				if i == 40 {
+					t.Fatal("40 invokes and none routed to the stopped orderer")
+				}
+				res, err := alice.Invoke("open_account", Int(int64(5000+i)), Text("x"), Float(1))
+				if err != nil || !res.Committed {
+					t.Fatalf("invoke %d = %+v, %v; want a commit", i, res, err)
+				}
+			}
+		})
 	}
 }

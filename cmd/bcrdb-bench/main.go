@@ -508,7 +508,7 @@ func chaosSmoke() {
 
 // remoteSmoke is the CI wire-path gate: the same closed-loop
 // synchronous-invoke window driven twice — once through in-process
-// clients, once through RemoteClients over loopback HTTP against a
+// clients, once through dialed clients over loopback HTTP against a
 // served node — so BENCH.json tracks the wire overhead next to the
 // baseline. It fails the process when the wire leg commits nothing,
 // so a broken transport cannot pass as a "successful" run.
@@ -527,7 +527,7 @@ func remoteSmoke() {
 	}
 	record(rec, local)
 
-	header("Remote: RemoteClient over loopback HTTP")
+	header("Remote: dialed client over loopback HTTP")
 	cfg.Wire = true
 	wire, err := workload.RunRemote(cfg)
 	if err != nil {

@@ -45,12 +45,10 @@ type Metrics struct {
 	SigPrewarms  atomic.Int64
 
 	// Self-healing delivery (docs/adr/0005): catch-up ranges requested
-	// from peers, orderer failovers (re-subscribes after a silent
-	// delivery deadline), and client-side submit retries recorded against
-	// the client's home node.
+	// from peers and orderer failovers (re-subscribes after a silent
+	// delivery deadline). Client retries are counted by the clients.
 	CatchUpRequests  atomic.Int64
 	OrdererFailovers atomic.Int64
-	ClientRetries    atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of all counters.
@@ -74,7 +72,6 @@ type Snapshot struct {
 	SigPrewarms       int64
 	CatchUpRequests   int64
 	OrdererFailovers  int64
-	ClientRetries     int64
 }
 
 // Snapshot captures the current counters.
@@ -99,7 +96,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		SigPrewarms:       m.SigPrewarms.Load(),
 		CatchUpRequests:   m.CatchUpRequests.Load(),
 		OrdererFailovers:  m.OrdererFailovers.Load(),
-		ClientRetries:     m.ClientRetries.Load(),
 	}
 }
 
@@ -133,7 +129,6 @@ func (b Snapshot) Sub(a Snapshot) Window {
 			SigPrewarms:       b.SigPrewarms - a.SigPrewarms,
 			CatchUpRequests:   b.CatchUpRequests - a.CatchUpRequests,
 			OrdererFailovers:  b.OrdererFailovers - a.OrdererFailovers,
-			ClientRetries:     b.ClientRetries - a.ClientRetries,
 		},
 	}
 }

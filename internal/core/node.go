@@ -69,9 +69,6 @@ const (
 	KindBlockReq = "peer.blockreq"
 	// KindBlockResp returns one block.
 	KindBlockResp = "peer.blockresp"
-	// KindNotify delivers a transaction result to a client endpoint named
-	// after the username (§2(7): LISTEN/NOTIFY equivalent).
-	KindNotify = "client.notify"
 	// KindTipReq carries the sender's chain tip (uvarint) and asks the
 	// receiver for its own — the anti-entropy tip gossip (§3.6 extended).
 	KindTipReq = "peer.tipreq"
@@ -175,36 +172,13 @@ type Config struct {
 	VerifyWorkers int
 }
 
-// TxResult is the outcome of one transaction, delivered via
-// notifications.
+// TxResult is the outcome of one transaction, delivered to subscribers
+// (§2(7): the LISTEN/NOTIFY equivalent clients follow).
 type TxResult struct {
 	ID        string
 	Block     uint64
 	Committed bool
 	Reason    string
-
-	clientEndpoint string // push-notification target (the username)
-}
-
-// encodeResult serializes a result for the notification channel.
-func encodeResult(r TxResult) []byte {
-	e := codec.NewBuf(64)
-	e.String(r.ID)
-	e.Uvarint(r.Block)
-	e.Bool(r.Committed)
-	e.String(r.Reason)
-	return e.Bytes()
-}
-
-// DecodeResult parses a notification payload.
-func DecodeResult(data []byte) (TxResult, error) {
-	d := codec.NewDec(data)
-	r := TxResult{}
-	r.ID = d.String()
-	r.Block = d.Uvarint()
-	r.Committed = d.Bool()
-	r.Reason = d.String()
-	return r, d.Done()
 }
 
 // execution tracks one transaction being executed (§4.2 TxMetadata).
@@ -435,11 +409,15 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		n.blocks = ledger.NewBlockStore()
 	}
 
-	ep, err := net.Register(cfg.Name, n.onMessage)
+	// Register without a handler and install it only once n.ep is set:
+	// a peer's message (a tip request, say) arriving in between would
+	// otherwise reach a handler that sends through a nil endpoint.
+	ep, err := net.Register(cfg.Name, nil)
 	if err != nil {
 		return nil, err
 	}
 	n.ep = ep
+	ep.SetHandler(n.onMessage)
 	return n, nil
 }
 
@@ -590,6 +568,9 @@ func (n *Node) Name() string { return n.cfg.Name }
 
 // Org returns the owning organization.
 func (n *Node) Org() string { return n.cfg.Org }
+
+// Peers returns every database node's endpoint name, this node's included.
+func (n *Node) Peers() []string { return n.cfg.Peers }
 
 // Height returns the node's committed block height.
 func (n *Node) Height() int64 { return n.store.Height() }
@@ -746,8 +727,6 @@ func (n *Node) notify(r TxResult, replay bool) {
 		default:
 		}
 	}
-	// Push to the submitting client's endpoint, if registered (§2(7)).
-	_ = n.ep.Send(r.clientEndpoint, KindNotify, encodeResult(r))
 }
 
 // --- message handling -----------------------------------------------------------
@@ -792,34 +771,25 @@ func (n *Node) onSubmit(m simnet.Message, fresh bool) {
 	// at the committed height, outside any transaction.
 	if err := n.authenticate(tx, n.store.Height()); err != nil {
 		if fresh {
-			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error(),
-				clientEndpoint: tx.Username}, false)
+			n.notify(TxResult{ID: tx.ID, Reason: "authentication: " + err.Error()}, false)
 		}
 		return
 	}
 	if fresh {
-		// Forward to the other peers and the ordering service in the
-		// background.
+		// Forward to the other peers and, through the orderer this node
+		// takes deliveries from, to the ordering service. That orderer
+		// follows the node's own failover, so a client that fails over
+		// to another node also reaches another orderer.
 		for _, p := range n.cfg.Peers {
 			if p != n.cfg.Name {
 				_ = n.ep.Send(p, KindForward, m.Payload)
 			}
 		}
-		if len(n.cfg.Orderers) > 0 {
-			target := n.cfg.Orderers[fnvMod(tx.ID, len(n.cfg.Orderers))]
-			_ = n.ep.Send(target, ordering.KindSubmit, m.Payload)
+		if o := n.DeliveringOrderer(); o != "" {
+			_ = n.ep.Send(o, ordering.KindSubmit, m.Payload)
 		}
 	}
 	n.ensureExecution(tx, tx.Snapshot)
-}
-
-func fnvMod(s string, n int) int {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // authenticate verifies the client signature against sys_certs as of the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/engine"
 	"bcrdb/internal/identity"
 	"bcrdb/internal/ledger"
@@ -646,10 +647,12 @@ func TestSerialExecutionModeConsistent(t *testing.T) {
 	tn := newTestNet(t, netOpts{flow: OrderThenExecute, serial: true})
 	var chans []<-chan TxResult
 	for i := 0; i < 10; i++ {
+		// Distinct ids need distinct args (ids are deterministic): a
+		// repeated id is executed once, and a waiter that subscribes
+		// after its result was delivered would never hear of it.
 		ch, _ := tn.submit("alice", "transfer",
-			types.NewInt(1), types.NewInt(2), types.NewFloat(1))
+			types.NewInt(1), types.NewInt(2), types.NewFloat(float64(i+1)))
 		chans = append(chans, ch)
-		// Distinct ids need distinct args; alternate direction.
 		ch2, _ := tn.submit("bob", "transfer",
 			types.NewInt(2), types.NewInt(3), types.NewFloat(float64(i+1)))
 		chans = append(chans, ch2)
@@ -669,53 +672,51 @@ func TestSerialExecutionModeConsistent(t *testing.T) {
 	}
 }
 
-func TestNotificationPush(t *testing.T) {
-	tn := newTestNet(t, netOpts{flow: ExecuteOrder})
-	// The client registers an endpoint named after the username (§2(7)).
-	var mu sync.Mutex
-	var got []TxResult
-	_, err := tn.net.Register("alice", func(m simnet.Message) {
-		if m.Kind != KindNotify {
-			return
-		}
-		r, err := DecodeResult(m.Payload)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		got = append(got, r)
-		mu.Unlock()
-	})
+// TestNewNodeTipReqDuringConstruction: a peer's tip request landing
+// while NewNode runs must find the node's endpoint set. NewNode used to
+// install its message handler before assigning n.ep, so the reply sent
+// from onTipReq raced that assignment (and panicked on a nil endpoint
+// when it won). Run with -race.
+func TestNewNodeTipReqDuringConstruction(t *testing.T) {
+	net := simnet.New(simnet.Loopback())
+	t.Cleanup(net.Close)
+	peer, err := net.Register("flooder", func(simnet.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, id := tn.submit("alice", "put_account",
-		types.NewInt(1100), types.NewString("x"), types.NewFloat(1))
-	tn.await(ch)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n > 0 {
-			break
+	signer, err := identity.NewSigner("dbx", "org1", identity.RolePeer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := codec.NewBuf(8)
+	e.Uvarint(0)
+	tipReq := e.Bytes()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = peer.Send("dbx", KindTipReq, tipReq)
+			}
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("client never received a push notification")
-	}
-	found := false
-	for _, r := range got {
-		if r.ID == id && r.Committed {
-			found = true
+	}()
+	for i := 0; i < 30; i++ {
+		n, err := NewNode(Config{Name: "dbx", Org: "org1", Peers: []string{"dbx", "flooder"}},
+			signer, identity.NewRegistry(), net)
+		if err != nil {
+			t.Fatal(err)
 		}
+		time.Sleep(time.Millisecond) // let queued requests reach the handler
+		n.ep.Unregister()
 	}
-	if !found {
-		t.Fatalf("notification for %s missing: %+v", id, got)
-	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestProvenanceAcrossLedger(t *testing.T) {

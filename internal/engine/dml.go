@@ -162,8 +162,6 @@ func evalDefault(ctx *ExecCtx, e *Engine, x sqlparser.Expr) (types.Value, error)
 	return v, nil
 }
 
-var _ = evalDefault // referenced from engine.go's CreateTable path
-
 // storageColumns converts parser column definitions, evaluating defaults.
 func (e *Engine) storageColumns(ctx *ExecCtx, defs []sqlparser.ColumnDef) ([]storage.Column, error) {
 	out := make([]storage.Column, 0, len(defs))

@@ -179,17 +179,16 @@ func (e *Engine) validateRefs(ctx *ExecCtx, rs *relSchema, s *sqlparser.Select) 
 			if !ok {
 				return
 			}
-			if _, err := rs.resolve(c.Table, c.Column); err == nil {
+			_, err := rs.resolve(c.Table, c.Column)
+			if err == nil {
 				return
-			} else if c.Table == "" && ctx.Vars != nil {
+			}
+			if c.Table == "" && ctx.Vars != nil {
 				if _, isVar := ctx.Vars[c.Column]; isVar {
 					return
 				}
-			} else if c.Table == "" {
-				// keep the resolve error below
-				_ = err
 			}
-			_, bad = rs.resolve(c.Table, c.Column)
+			bad = err
 		})
 		return bad
 	}
@@ -771,9 +770,6 @@ func (e *Engine) execJoin(ctx *ExecCtx, leftRS *relSchema, leftRows []types.Row,
 			lookupIx, lookupOrds = name, ords
 		}
 	}
-
-	residualEqs := eqs // checked via combined-row evaluation of j.On anyway
-	_ = residualEqs
 
 	onEnv := evalEnv{ctx: ctx, rs: combined}
 	evalCombined := func(lrow, rrow types.Row) (bool, error) {

@@ -3,7 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sync"
 
 	"bcrdb/internal/core"
@@ -14,25 +14,45 @@ import (
 	"bcrdb/internal/types"
 )
 
-// submitDest picks the wire destination for a signed transaction: in
-// execute-order flow the local node validates and forwards (§3.2); in
-// order-execute flow clients talk straight to the ordering service, so
-// the submission goes to the orderer owning the transaction's id hash —
-// the same routing rule the in-process client uses, keeping resubmission
-// idempotent across transports.
-func submitDest(flow core.Flow, nodeName string, orderers []string, txID string) (to, kind string, err error) {
-	if flow == core.ExecuteOrder || len(orderers) == 0 {
-		return nodeName, core.KindSubmit, nil
+// Hash is the 32-bit FNV-1a hash of s. It is the one hash the client
+// side routes by: it picks a transaction's orderer, and it seeds a
+// client's retry jitter.
+func Hash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
 	}
-	h := fnv.New32a()
-	h.Write([]byte(txID))
-	return orderers[int(h.Sum32())%len(orderers)], ordering.KindSubmit, nil
+	return h
+}
+
+// route picks the fabric destination of one submission attempt. Direct
+// and Server both submit through it, so a transaction retried over
+// either transport walks the same targets. Attempt 0 is the normal
+// route; each retry fails over to the next target:
+//
+//   - execute-order: the connected node validates and forwards (§3.2);
+//     attempt a goes to the a-th node after it in peers.
+//   - order-then-execute: clients talk straight to the ordering
+//     service; attempt a goes to orderers[(Hash(txID)+a) % n].
+//
+// Resubmission stays idempotent whatever the target: orderers and nodes
+// deduplicate by transaction id (§3.4.3).
+func route(flow core.Flow, node string, peers, orderers []string, txID string, attempt int) (to, kind string) {
+	if flow == core.ExecuteOrder || len(orderers) == 0 {
+		if attempt == 0 || len(peers) == 0 {
+			return node, core.KindSubmit
+		}
+		i := max(slices.Index(peers, node), 0)
+		return peers[(i+attempt)%len(peers)], core.KindSubmit
+	}
+	return orderers[(uint64(Hash(txID))+uint64(attempt))%uint64(len(orderers))], ordering.KindSubmit
 }
 
 // Direct is the in-process transport: it registers one simnet endpoint
 // and delivers submissions over the same message fabric node peers use.
-// It exists so local and remote clients share one code path — the only
-// difference between them is which Transport they hold.
+// It exists so in-process and dialed clients share one code path — the
+// only difference between them is which Transport they hold.
 type Direct struct {
 	node     NodeBackend
 	ep       *simnet.Endpoint
@@ -40,7 +60,7 @@ type Direct struct {
 	orderers []string
 
 	mu      sync.Mutex
-	streams map[<-chan core.TxResult]struct{}
+	streams map[<-chan core.TxResult]func() // open commit streams and their stop functions
 	closed  bool
 }
 
@@ -52,7 +72,7 @@ func NewDirect(net *simnet.Network, epName string, node NodeBackend, flow core.F
 		node:     node,
 		flow:     flow,
 		orderers: append([]string(nil), orderers...),
-		streams:  make(map[<-chan core.TxResult]struct{}),
+		streams:  make(map[<-chan core.TxResult]func()),
 	}
 	ep, err := net.Register(epName, func(simnet.Message) {})
 	if err != nil {
@@ -74,16 +94,21 @@ func (d *Direct) Info(context.Context) (Info, error) {
 	}, nil
 }
 
-// Submit implements Transport.
-func (d *Direct) Submit(_ context.Context, txBytes []byte) error {
+// Submit delivers a transaction on its normal route (attempt 0).
+func (d *Direct) Submit(ctx context.Context, txBytes []byte) error {
+	return d.SubmitAttempt(ctx, txBytes, 0)
+}
+
+// SubmitAttempt implements Transport.
+func (d *Direct) SubmitAttempt(_ context.Context, txBytes []byte, attempt int) error {
+	if attempt < 0 {
+		return fmt.Errorf("transport: negative attempt %d", attempt)
+	}
 	tx, err := ledger.UnmarshalTransaction(txBytes)
 	if err != nil {
 		return fmt.Errorf("transport: bad transaction: %w", err)
 	}
-	to, kind, err := submitDest(d.flow, d.node.Name(), d.orderers, tx.ID)
-	if err != nil {
-		return err
-	}
+	to, kind := route(d.flow, d.node.Name(), d.node.Peers(), d.orderers, tx.ID, attempt)
 	return d.ep.Send(to, kind, txBytes)
 }
 
@@ -103,10 +128,6 @@ func (d *Direct) CommitStream(ctx context.Context) (<-chan core.TxResult, func()
 		return nil, nil, fmt.Errorf("transport: direct transport closed")
 	}
 	src := d.node.SubscribeAll()
-	d.streams[src] = struct{}{}
-	d.mu.Unlock()
-
-	out := make(chan core.TxResult, 256)
 	done := make(chan struct{})
 	var once sync.Once
 	stop := func() {
@@ -118,6 +139,14 @@ func (d *Direct) CommitStream(ctx context.Context) (<-chan core.TxResult, func()
 			d.node.UnsubscribeAll(src)
 		})
 	}
+	d.streams[src] = stop
+	d.mu.Unlock()
+
+	// The forwarder blocks on a slow consumer rather than dropping: the
+	// node-side subscription buffer absorbs bursts, and the node drops
+	// only when that is full too. out's own slots let a few blocks'
+	// results through while the consumer is busy dispatching.
+	out := make(chan core.TxResult, 256)
 	go func() {
 		defer close(out)
 		for {
@@ -130,7 +159,11 @@ func (d *Direct) CommitStream(ctx context.Context) (<-chan core.TxResult, func()
 			case r := <-src:
 				select {
 				case out <- r:
-				default: // slow consumer: drop, the client's ledger lookup recovers
+				case <-done:
+					return
+				case <-ctx.Done():
+					stop()
+					return
 				}
 			}
 		}
@@ -146,14 +179,13 @@ func (d *Direct) Close() error {
 		return nil
 	}
 	d.closed = true
-	streams := make([]<-chan core.TxResult, 0, len(d.streams))
-	for ch := range d.streams {
-		streams = append(streams, ch)
+	stops := make([]func(), 0, len(d.streams))
+	for _, stop := range d.streams {
+		stops = append(stops, stop)
 	}
-	d.streams = make(map[<-chan core.TxResult]struct{})
 	d.mu.Unlock()
-	for _, ch := range streams {
-		d.node.UnsubscribeAll(ch)
+	for _, stop := range stops {
+		stop()
 	}
 	d.ep.Unregister()
 	return nil

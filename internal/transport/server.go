@@ -188,6 +188,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "empty transaction")
 		return
 	}
+	if req.Attempt < 0 {
+		s.fail(w, http.StatusBadRequest, "negative attempt %d", req.Attempt)
+		return
+	}
 	// Decode before routing: a transaction that does not parse is
 	// rejected at the boundary instead of poisoning the fabric, and a
 	// parsed id is needed for order-execute routing anyway. The bytes
@@ -201,11 +205,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "transaction missing id, user or signature")
 		return
 	}
-	to, kind, err := submitDest(s.cfg.Flow, s.cfg.Node.Name(), s.cfg.Orderers, tx.ID)
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, "no route: %v", err)
-		return
-	}
+	to, kind := route(s.cfg.Flow, s.cfg.Node.Name(), s.cfg.Node.Peers(), s.cfg.Orderers, tx.ID, req.Attempt)
 	if err := s.ep.Send(to, kind, req.Tx); err != nil {
 		s.fail(w, http.StatusServiceUnavailable, "submit: %v", err)
 		return

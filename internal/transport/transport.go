@@ -8,13 +8,15 @@
 // the exact ledger.MarshalTransaction bytes (base64 in JSON), so the
 // client's Ed25519 signature verifies unchanged on the far side; the
 // server never re-encodes what was signed. Commit notifications stream
-// back as newline-delimited JSON over a long-lived GET, replacing the
-// in-process waiter registration that remote clients cannot reach.
+// back as newline-delimited JSON over a long-lived GET; every client,
+// in-process or dialed, learns its results from that stream.
 //
 // Endpoints:
 //
 //	GET  /v1/info     node identity, org, chain height
-//	POST /v1/submit   {"tx": base64} → {"id": txid}; routed by flow
+//	POST /v1/submit   {"tx": base64, "attempt": n} → {"id": txid}; routed
+//	                  by flow, attempt (optional, default 0) picks the
+//	                  failover target (see route)
 //	POST /v1/query    {"sql", "params", "height"} → {"cols", "rows"}
 //	GET  /v1/commits  NDJSON stream of every commit on this node
 //	POST /v1/relay    cluster-internal message injection (gateway path)
@@ -33,10 +35,13 @@ import (
 type Transport interface {
 	// Info describes the node this transport is connected to.
 	Info(ctx context.Context) (Info, error)
-	// Submit delivers the marshalled, signed transaction for ordering.
-	// It returns once the transaction is accepted for processing, not
-	// when it commits — commits arrive on the CommitStream.
-	Submit(ctx context.Context, txBytes []byte) error
+	// SubmitAttempt delivers the marshalled, signed transaction for
+	// ordering. attempt counts resubmissions of the same transaction:
+	// 0 takes the normal route and each retry fails over to the next
+	// target (see route). It returns once the transaction is accepted
+	// for processing, not when it commits — commits arrive on the
+	// CommitStream.
+	SubmitAttempt(ctx context.Context, txBytes []byte, attempt int) error
 	// Query runs a read-only query at the given height (height < 0
 	// means the node's current height).
 	Query(ctx context.Context, height int64, sql string, params []types.Value) (*engine.Result, error)
@@ -66,6 +71,9 @@ type NodeBackend interface {
 	Org() string
 	Height() int64
 	SealedHeight() int64
+	// Peers lists every database node's endpoint, this one included:
+	// the execute-order failover ring.
+	Peers() []string
 	Query(sql string, params ...types.Value) (*engine.Result, error)
 	QueryAt(height int64, sql string, params ...types.Value) (*engine.Result, error)
 	SubscribeAll() <-chan core.TxResult
@@ -77,7 +85,8 @@ var _ NodeBackend = (*core.Node)(nil)
 // Wire request/response bodies.
 
 type submitRequest struct {
-	Tx []byte `json:"tx"` // ledger.MarshalTransaction bytes, base64 by encoding/json
+	Tx      []byte `json:"tx"`                // ledger.MarshalTransaction bytes, base64 by encoding/json
+	Attempt int    `json:"attempt,omitempty"` // resubmission count; picks the failover target
 }
 
 type submitResponse struct {

@@ -13,6 +13,7 @@ import (
 
 	"bcrdb/internal/core"
 	"bcrdb/internal/engine"
+	"bcrdb/internal/ledger"
 	"bcrdb/internal/simnet"
 	"bcrdb/internal/types"
 )
@@ -27,6 +28,7 @@ func (f *fakeNode) Name() string        { return "db.test" }
 func (f *fakeNode) Org() string         { return "test" }
 func (f *fakeNode) Height() int64       { return 7 }
 func (f *fakeNode) SealedHeight() int64 { return 7 }
+func (f *fakeNode) Peers() []string     { return []string{"db.peer0", "db.test", "db.peer2"} }
 
 func (f *fakeNode) Query(sql string, params ...types.Value) (*engine.Result, error) {
 	if strings.Contains(sql, "boom") {
@@ -111,6 +113,8 @@ func TestMalformedRequestsRejected(t *testing.T) {
 		{"submit junk json", "/v1/submit", "{not json"},
 		{"submit empty tx", "/v1/submit", `{"tx": ""}`},
 		{"submit garbage tx bytes", "/v1/submit", `{"tx": "Z29vZC1tb3JuaW5n"}`},
+		{"submit negative attempt", "/v1/submit", `{"tx": "Z29vZC1tb3JuaW5n", "attempt": -1}`},
+		{"submit non-integer attempt", "/v1/submit", `{"tx": "Z29vZC1tb3JuaW5n", "attempt": 1.5}`},
 		{"query junk json", "/v1/query", "{{{"},
 		{"query empty sql", "/v1/query", `{"sql": "", "height": -1}`},
 		{"query unknown value kind", "/v1/query", `{"sql": "SELECT 1", "height": -1, "params": [{"k": "decimal128"}]}`},
@@ -257,6 +261,72 @@ func TestRelayInjection(t *testing.T) {
 	}
 	if srv.Relayed() != 1 {
 		t.Fatalf("Relayed() = %d", srv.Relayed())
+	}
+}
+
+// TestDirectAndServerRouteAlike: for the same (tx id, attempt), the
+// in-process transport and the wire server send the submission to the
+// same fabric endpoint, in both flows — one routing rule, so a retried
+// transaction walks the same failover targets over either transport.
+func TestDirectAndServerRouteAlike(t *testing.T) {
+	type hop struct{ to, kind string }
+	net := simnet.New(simnet.Loopback())
+	t.Cleanup(net.Close)
+	node := &fakeNode{}
+	orderers := []string{"ord0", "ord1", "ord2"}
+	got := make(chan hop, 16)
+	for _, name := range append(node.Peers(), orderers...) {
+		name := name
+		if _, err := net.Register(name, func(m simnet.Message) { got <- hop{name, m.Kind} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() hop {
+		t.Helper()
+		select {
+		case h := <-got:
+			return h
+		case <-time.After(5 * time.Second):
+			t.Fatal("submission never delivered")
+			return hop{}
+		}
+	}
+
+	for _, flow := range []core.Flow{core.ExecuteOrder, core.OrderThenExecute} {
+		name := flowName(flow)
+		srv, _ := newTestServer(t, ServerConfig{Node: node, Net: net, Flow: flow, Orderers: orderers, Endpoint: "rpc." + name})
+		wire := Dial(srv.URL())
+		defer wire.Close()
+		direct, err := NewDirect(net, "client."+name, node, flow, orderers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer direct.Close()
+
+		seen := make(map[string]bool)
+		for _, id := range []string{"tx-a", "tx-b", "tx-c", "tx-d"} {
+			payload := ledger.MarshalTransaction(&ledger.Transaction{ID: id, Username: "u", Contract: "c", Signature: []byte{1}})
+			for attempt := 0; attempt < 4; attempt++ {
+				if err := direct.SubmitAttempt(context.Background(), payload, attempt); err != nil {
+					t.Fatal(err)
+				}
+				d := recv()
+				if err := wire.SubmitAttempt(context.Background(), payload, attempt); err != nil {
+					t.Fatal(err)
+				}
+				if w := recv(); w != d {
+					t.Fatalf("%s %s attempt %d: Direct sent to %v, Server to %v", name, id, attempt, d, w)
+				}
+				want, _ := route(flow, node.Name(), node.Peers(), orderers, id, attempt)
+				if d.to != want {
+					t.Fatalf("%s %s attempt %d: sent to %s, route says %s", name, id, attempt, d.to, want)
+				}
+				seen[d.to] = true
+			}
+		}
+		if len(seen) < 3 {
+			t.Fatalf("%s: attempts reached only %v; failover should rotate through every target", name, seen)
+		}
 	}
 }
 

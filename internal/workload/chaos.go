@@ -118,7 +118,7 @@ type ChaosResult struct {
 	LateResolved int64
 	Unresolved   int64 // invokes absent from the converged ledger — MUST be 0
 
-	Retries        int64 // client resubmissions (all nodes)
+	Retries        int64 // client resubmissions (all clients)
 	CatchUps       int64 // peer catch-up range requests (all nodes)
 	Failovers      int64 // orderer re-subscriptions (all nodes)
 	FaultsInjected int64 // link-level drops and spikes
@@ -333,16 +333,16 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	return res, nil
 }
 
-// healingCounters sums the self-healing metrics across all nodes.
+// healingCounters sums the self-healing metrics across all nodes and
+// clients.
 type healingCounters struct {
 	retries, catchUps, failovers int64
 }
 
 func snapshotHealing(nw *bcrdb.Network) healingCounters {
-	var h healingCounters
+	h := healingCounters{retries: nw.ClientRetries()}
 	for _, n := range nw.Nodes() {
 		m := n.Metrics()
-		h.retries += m.ClientRetries.Load()
 		h.catchUps += m.CatchUpRequests.Load()
 		h.failovers += m.OrdererFailovers.Load()
 	}

@@ -91,7 +91,7 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 	var delivered atomic.Int64
 	var blocks atomic.Int64
 	var measuring atomic.Bool
-	sink, err := net.Register("sink", func(m simnet.Message) {
+	_, err := net.Register("sink", func(m simnet.Message) {
 		if m.Kind != ordering.KindBlock {
 			return
 		}
@@ -107,7 +107,6 @@ func RunOrderingBench(cfg OrderingBenchConfig) (OrderingBenchResult, error) {
 	if err != nil {
 		return OrderingBenchResult{}, err
 	}
-	_ = sink
 
 	ocfg := ordering.Config{BlockSize: cfg.BlockSize, BlockTimeout: cfg.BlockTimeout}
 	reg := identity.NewRegistry()

@@ -11,10 +11,11 @@ import (
 )
 
 // RemoteRunConfig parameterizes one wire-path measurement window: the
-// same workload as Run, but driven through bcrdb.RemoteClient against a
-// served loopback endpoint instead of in-process client handles. With
-// Wire false the identical synchronous-invoke loop drives in-process
-// clients, giving the apples-to-apples baseline for the HTTP overhead.
+// same workload as Run, but driven through clients dialed (DialRemote)
+// to a served loopback endpoint instead of in-process client handles.
+// With Wire false the identical synchronous-invoke loop drives
+// in-process clients, giving the apples-to-apples baseline for the HTTP
+// overhead.
 type RemoteRunConfig struct {
 	Contract     Contract
 	Flow         bcrdb.Flow
@@ -25,7 +26,7 @@ type RemoteRunConfig struct {
 	// synchronous Invokes back to back. Default 16.
 	Workers int
 
-	// Wire selects the path under test: true dials RemoteClients over
+	// Wire selects the path under test: true dials clients over
 	// loopback HTTP, false uses in-process clients in the same loop.
 	Wire bool
 
@@ -50,12 +51,6 @@ func (c RemoteRunConfig) withDefaults() RemoteRunConfig {
 		c.Warmup = c.Duration / 5
 	}
 	return c
-}
-
-// remoteInvoker abstracts the two paths under comparison; both Invoke
-// synchronously (submit, await commit).
-type remoteInvoker interface {
-	Invoke(contract string, args ...bcrdb.Value) (bcrdb.TxResult, error)
 }
 
 // RunRemote measures a closed-loop window of synchronous invokes through
@@ -94,7 +89,7 @@ func RunRemote(cfg RemoteRunConfig) (Result, error) {
 	}
 	defer nw.Close()
 
-	invokers := make([]remoteInvoker, cfg.Workers)
+	invokers := make([]*bcrdb.Client, cfg.Workers)
 	if cfg.Wire {
 		srv, err := nw.Serve(0, "127.0.0.1:0")
 		if err != nil {
@@ -136,7 +131,7 @@ func RunRemote(cfg RemoteRunConfig) (Result, error) {
 	)
 	for w := range invokers {
 		wg.Add(1)
-		go func(inv remoteInvoker) {
+		go func(inv *bcrdb.Client) {
 			defer wg.Done()
 			for !stop.Load() {
 				name, args := Invocation(cfg.Contract, seq.Add(1))

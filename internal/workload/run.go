@@ -102,12 +102,13 @@ type Result struct {
 	BRR, BPR, BPT, BET, BCT, BST, TET, MT, SU float64
 	SealQueue                                 int64
 
-	// Self-healing counters (node 0, measurement window): catch-up range
-	// requests, orderer failovers, client retries. All zero on a healthy
-	// fabric at moderate load — failovers or retries in any happy-path
-	// run indicate a regression; an occasional catch-up request at
-	// closed-loop saturation is legitimate (a replica genuinely trailing
-	// its peers for more than one anti-entropy tick).
+	// Self-healing counters over the measurement window: node 0's
+	// catch-up range requests and orderer failovers, and every client's
+	// retries. All zero on a healthy fabric at moderate load — failovers
+	// or retries in any happy-path run indicate a regression; an
+	// occasional catch-up request at closed-loop saturation is legitimate
+	// (a replica genuinely trailing its peers for more than one
+	// anti-entropy tick).
 	CatchUps, Failovers, Retries int64
 }
 
@@ -213,11 +214,10 @@ func Run(cfg RunConfig) (Result, error) {
 	var seq atomic.Int64
 	stopGen := make(chan struct{})
 	var genW sync.WaitGroup
-	submitOne := func(userIdx int) {
+	submitOne := func() {
 		s := seq.Add(1)
 		name, args := Invocation(cfg.Contract, s)
 		user := users[int(s)%len(users)]
-		_ = userIdx
 		id, err := nw.SubmitRaw(user, name, args)
 		if err != nil {
 			return
@@ -232,9 +232,9 @@ func Run(cfg RunConfig) (Result, error) {
 		// Open loop: each worker submits at rate/genWorkers.
 		per := cfg.ArrivalRate / float64(genWorkers)
 		interval := time.Duration(float64(time.Second) / per)
-		for w := 0; w < genWorkers; w++ {
+		for range genWorkers {
 			genW.Add(1)
-			go func(w int) {
+			go func() {
 				defer genW.Done()
 				next := time.Now()
 				for {
@@ -248,38 +248,38 @@ func Run(cfg RunConfig) (Result, error) {
 						time.Sleep(next.Sub(now))
 					}
 					next = next.Add(interval)
-					submitOne(w)
+					submitOne()
 				}
-			}(w)
+			}()
 		}
 	} else {
 		// Closed loop: bounded in-flight saturation.
-		for w := 0; w < genWorkers; w++ {
+		for range genWorkers {
 			genW.Add(1)
-			go func(w int) {
+			go func() {
 				defer genW.Done()
 				for {
 					select {
 					case <-stopGen:
 						return
 					case inFlight <- struct{}{}:
-						submitOne(w)
+						submitOne()
 					case <-time.After(200 * time.Millisecond):
 						// Semaphore leak guard: a dropped tx should not
 						// stall the generator forever.
-						submitOne(w)
+						submitOne()
 					}
 				}
-			}(w)
+			}()
 		}
 	}
 
 	// Warmup, then measure.
 	time.Sleep(cfg.Warmup)
 	measuring.Store(true)
-	before := node0.Metrics().Snapshot()
+	before, retriesBefore := node0.Metrics().Snapshot(), nw.ClientRetries()
 	time.Sleep(cfg.Duration)
-	after := node0.Metrics().Snapshot()
+	after, retriesAfter := node0.Metrics().Snapshot(), nw.ClientRetries()
 	measuring.Store(false)
 	close(stopGen)
 	genW.Wait()
@@ -305,7 +305,7 @@ func Run(cfg RunConfig) (Result, error) {
 		SealQueue:  w.Diff.SealQueueDepth,
 		CatchUps:   w.Diff.CatchUpRequests,
 		Failovers:  w.Diff.OrdererFailovers,
-		Retries:    w.Diff.ClientRetries,
+		Retries:    retriesAfter - retriesBefore,
 	}
 	mu.Lock()
 	if len(latencies) > 0 {

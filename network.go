@@ -18,8 +18,9 @@ import (
 	"bcrdb/internal/transport"
 )
 
-// ErrClosed is returned by operations attempted after Network.Close.
-// Client.Invoke wraps it in an UnresolvedError; errors.Is unwraps.
+// ErrClosed is returned by operations attempted after Network.Close or
+// Client.Close. An Invoke cut short mid-retry wraps it in an
+// UnresolvedError; errors.Is unwraps.
 var ErrClosed = errors.New("bcrdb: network closed")
 
 // OrderingKind selects the consensus implementation (§4.4).
@@ -131,7 +132,7 @@ type Options struct {
 	// IdentitySecret, when non-empty, derives every identity (admins,
 	// users, peers, orderers) deterministically from this shared secret
 	// instead of generating random keys. All processes of a
-	// multi-process cluster — and any RemoteClient — must agree on it,
+	// multi-process cluster — and any DialRemote client — must agree on it,
 	// so genesis certificates and signatures verify across process
 	// boundaries. Required when Cluster is set.
 	IdentitySecret string
@@ -181,10 +182,9 @@ type Network struct {
 	clientMu sync.Mutex
 	clients  map[string]*Client
 
-	// closed fences use-after-Close: every submission path checks it,
-	// and closedCh wakes blocked waits (retry backoff, Await).
+	// closed fences use-after-Close; Close also closes every client,
+	// which wakes their blocked waits (retry backoff, Await).
 	closed    atomic.Bool
-	closedCh  chan struct{}
 	closeOnce sync.Once
 }
 
@@ -231,10 +231,9 @@ func NewNetwork(opts Options) (*Network, error) {
 	localOrderer := func(i int) bool { return cluster == nil || i%len(opts.Orgs) == localOrgIdx }
 
 	nw := &Network{
-		opts:     opts,
-		signers:  make(map[string]*identity.Signer),
-		clients:  make(map[string]*Client),
-		closedCh: make(chan struct{}),
+		opts:    opts,
+		signers: make(map[string]*identity.Signer),
+		clients: make(map[string]*Client),
 	}
 	newSigner := func(name, org string, role identity.Role) (*identity.Signer, error) {
 		if opts.IdentitySecret != "" {
@@ -248,9 +247,8 @@ func NewNetwork(opts Options) (*Network, error) {
 	if opts.Profile == ProfileWAN {
 		lan, wan := simnet.LAN(), simnet.WAN()
 		orgOf := make(map[string]string)
-		for i, org := range opts.Orgs {
+		for _, org := range opts.Orgs {
 			orgOf["db."+org.Name] = org.Name
-			_ = i
 		}
 		for i := 0; i < nOrderers; i++ {
 			orgOf[ordererName(i)] = opts.Orgs[i%len(opts.Orgs)].Name
@@ -501,13 +499,13 @@ func deliveryPeers(peerNames []string, i, nOrderers int) []string {
 }
 
 // Close stops every component. It is idempotent and fences concurrent
-// use: the closed flag flips and closedCh closes before any component
-// stops, so an Invoke racing with Close observes ErrClosed instead of
-// hanging on a dead fabric or panicking into stopped components.
+// use: the closed flag flips and every client closes before any
+// component stops, so an Invoke racing with Close observes ErrClosed
+// instead of hanging on a dead fabric or panicking into stopped
+// components.
 func (nw *Network) Close() {
 	nw.closeOnce.Do(func() {
 		nw.closed.Store(true)
-		close(nw.closedCh)
 		if nw.server != nil {
 			_ = nw.server.Close()
 		}
@@ -518,7 +516,7 @@ func (nw *Network) Close() {
 		}
 		nw.clientMu.Unlock()
 		for _, c := range clients {
-			c.close()
+			_ = c.Close() // a Direct transport's Close cannot fail
 		}
 		for _, o := range nw.kafkaOrds {
 			o.Stop()
@@ -683,6 +681,17 @@ func (nw *Network) DeployContract(src string) error {
 // SubmitRaw signs and submits a transaction for the given user without
 // waiting, returning the transaction id. Used by load generators.
 func (nw *Network) SubmitRaw(user, contract string, args []Value) (string, error) {
-	c := nw.Client(user)
-	return c.submit(contract, args)
+	return nw.Client(user).submit(contract, args)
+}
+
+// ClientRetries sums the resubmissions made by this network's clients
+// (RetryPolicy): zero on a healthy fabric.
+func (nw *Network) ClientRetries() int64 {
+	nw.clientMu.Lock()
+	defer nw.clientMu.Unlock()
+	var n int64
+	for _, c := range nw.clients {
+		n += c.retries.Load()
+	}
+	return n
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// remoteOptions is demoOptions plus the deterministic identities remote
+// remoteOptions is demoOptions plus the deterministic identities dialed
 // clients need to sign verifiably.
 func remoteOptions(flow Flow, secret string) Options {
 	opts := demoOptions(flow)
@@ -15,10 +15,10 @@ func remoteOptions(flow Flow, secret string) Options {
 	return opts
 }
 
-// TestRemoteClientOverWire is the acceptance path: a transaction
-// submitted by a RemoteClient over real HTTP commits and its
+// TestDialRemoteOverWire is the acceptance path: a transaction
+// submitted by a dialed client over real HTTP commits and its
 // notification streams back over the wire.
-func TestRemoteClientOverWire(t *testing.T) {
+func TestDialRemoteOverWire(t *testing.T) {
 	for _, flow := range []Flow{OrderThenExecute, ExecuteOrder} {
 		name := map[Flow]string{OrderThenExecute: "OrderThenExecute", ExecuteOrder: "ExecuteOrder"}[flow]
 		t.Run(name, func(t *testing.T) {
@@ -65,12 +65,20 @@ func TestRemoteClientOverWire(t *testing.T) {
 			if info.Node != "db.org1" || info.Org != "org1" {
 				t.Fatalf("info = %+v", info)
 			}
+			// Reads across every node and the private schema need the
+			// in-process network.
+			if _, err := rc.QueryAll(`SELECT balance FROM accounts`); err == nil {
+				t.Fatal("QueryAll on a dialed client succeeded")
+			}
+			if _, err := rc.ExecPrivate(`CREATE TABLE notes (id BIGINT PRIMARY KEY)`); err == nil {
+				t.Fatal("ExecPrivate on a dialed client succeeded")
+			}
 		})
 	}
 }
 
 // TestWireDifferential runs the identical transaction sequence through
-// the in-process client and through a RemoteClient over HTTP and
+// the in-process client and through a dialed client over HTTP and
 // demands bit-identical outcomes: same state digests, same sys_ledger
 // rows. ExecuteOrder flow with awaited serial invokes makes both runs
 // fully deterministic (deterministic tx ids, one tx per block), and the
