@@ -257,6 +257,9 @@ type Node struct {
 	sealPause    atomic.Bool
 	sealedHeight atomic.Int64
 	diskBacked   bool
+	// halted is set by failStop after a durability failure: no block is
+	// processed or sealed from then on.
+	halted atomic.Bool
 
 	// Recorded transaction ids (§3.4.3 unique-identifier rule): every id
 	// ever recorded in sys_ledger, maintained by the commit stage and
@@ -274,7 +277,6 @@ type Node struct {
 
 	// Notifications.
 	subMu sync.Mutex
-	subs  map[string][]chan TxResult // by tx id
 	allCh []chan TxResult
 
 	metrics Metrics
@@ -375,7 +377,6 @@ func NewNode(cfg Config, signer *identity.Signer, netReg *identity.Registry, net
 		blockCh:    make(chan *ledger.Block, 1024),
 		ownHashes:  make(map[uint64]ledger.Hash),
 		peerHashes: make(map[uint64]map[string]ledger.Hash),
-		subs:       make(map[string][]chan TxResult),
 		seenTx:     make(map[string]struct{}),
 		certCache:  make(map[string]certCacheEntry),
 		sealAbort:  make(chan struct{}),
@@ -608,7 +609,8 @@ func (n *Node) LastCheckpoint() uint64 {
 }
 
 // Alerts returns divergence alerts raised by checkpoint comparison
-// (security properties 3 and 5 of §3.5).
+// (security properties 3 and 5 of §3.5), and the durability failure
+// that halted the node, if any.
 func (n *Node) Alerts() []string {
 	n.cpMu.Lock()
 	defer n.cpMu.Unlock()
@@ -655,35 +657,6 @@ func (n *Node) Vacuum(horizon int64) int {
 	return n.store.Vacuum(horizon)
 }
 
-// Subscribe returns a channel receiving the result of the given tx id.
-func (n *Node) Subscribe(txID string) <-chan TxResult {
-	ch := make(chan TxResult, 1)
-	n.subMu.Lock()
-	n.subs[txID] = append(n.subs[txID], ch)
-	n.subMu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a Subscribe registration whose waiter gave up
-// (client Await timeout), so the node does not hold the channel — and
-// the tx-id entry — forever.
-func (n *Node) Unsubscribe(txID string, ch <-chan TxResult) {
-	n.subMu.Lock()
-	subs := n.subs[txID]
-	for i, c := range subs {
-		if (<-chan TxResult)(c) == ch {
-			subs = append(subs[:i], subs[i+1:]...)
-			break
-		}
-	}
-	if len(subs) == 0 {
-		delete(n.subs, txID)
-	} else {
-		n.subs[txID] = subs
-	}
-	n.subMu.Unlock()
-}
-
 // SubscribeAll returns a channel receiving every transaction result.
 func (n *Node) SubscribeAll() <-chan TxResult {
 	ch := make(chan TxResult, 4096)
@@ -712,13 +685,6 @@ func (n *Node) notify(r TxResult, replay bool) {
 		return
 	}
 	n.subMu.Lock()
-	for _, ch := range n.subs[r.ID] {
-		select {
-		case ch <- r:
-		default:
-		}
-	}
-	delete(n.subs, r.ID)
 	all := append([]chan TxResult(nil), n.allCh...)
 	n.subMu.Unlock()
 	for _, ch := range all {

@@ -31,6 +31,10 @@ type testNet struct {
 	clients        map[string]*identity.Signer
 	netReg         *identity.Registry
 	dataDirs       []string
+
+	// Result waiters by tx id, fed from node 0's SubscribeAll stream.
+	waitMu  sync.Mutex
+	waiters map[string][]chan TxResult
 }
 
 var testGenesisSQL = []string{
@@ -173,6 +177,10 @@ func newTestNet(t *testing.T, o netOpts) *testNet {
 		tn.nodes = append(tn.nodes, node)
 		t.Cleanup(node.Stop)
 	}
+	tn.waiters = make(map[string][]chan TxResult)
+	results, stop := tn.nodes[0].SubscribeAll(), make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go tn.dispatchResults(results, stop)
 
 	for i := 0; i < o.nNodes; i++ {
 		ord, err := kafka.NewOrderer(ordererNames[i], ordererSigners[i], tn.topic, tn.net,
@@ -213,7 +221,7 @@ func (tn *testNet) submit(user, contract string, args ...types.Value) (<-chan Tx
 	} else {
 		tx = tn.buildTx(user, contract, args, 0)
 	}
-	ch := tn.nodes[0].Subscribe(tx.ID)
+	ch := tn.waitFor(tx.ID)
 	if tn.nodes[0].cfg.Flow == ExecuteOrder {
 		if err := tn.nodes[0].ExecuteOrderSubmitLocal(tx); err != nil {
 			tn.t.Fatal(err)
@@ -222,6 +230,35 @@ func (tn *testNet) submit(user, contract string, args ...types.Value) (<-chan Tx
 		tn.orderers[0].SubmitLocal(tx)
 	}
 	return ch, tx.ID
+}
+
+// waitFor returns a channel receiving node 0's next result for txID.
+// Register before submitting: a result with no waiter is not kept.
+func (tn *testNet) waitFor(txID string) <-chan TxResult {
+	ch := make(chan TxResult, 1)
+	tn.waitMu.Lock()
+	tn.waiters[txID] = append(tn.waiters[txID], ch)
+	tn.waitMu.Unlock()
+	return ch
+}
+
+// dispatchResults hands each result on node 0's commit stream to the
+// waiters registered for its id.
+func (tn *testNet) dispatchResults(results <-chan TxResult, stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		case r := <-results:
+			tn.waitMu.Lock()
+			chs := tn.waiters[r.ID]
+			delete(tn.waiters, r.ID)
+			tn.waitMu.Unlock()
+			for _, ch := range chs {
+				ch <- r
+			}
+		}
+	}
 }
 
 func (tn *testNet) await(ch <-chan TxResult) TxResult {
@@ -413,7 +450,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 		cfg: ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond}})
 	args := []types.Value{types.NewInt(500), types.NewString("dup"), types.NewFloat(1)}
 	tx1 := tn.buildTx("alice", "put_account", args, 0)
-	ch1 := tn.nodes[0].Subscribe(tx1.ID)
+	ch1 := tn.waitFor(tx1.ID)
 	tn.orderers[0].SubmitLocal(tx1)
 	r1 := tn.await(ch1)
 	if !r1.Committed {
@@ -428,7 +465,7 @@ func TestDuplicateTransactionRejected(t *testing.T) {
 	if tx2.ID != tx1.ID {
 		t.Fatal("identical invocations should produce identical ids")
 	}
-	ch2 := tn.nodes[0].Subscribe(tx2.ID)
+	ch2 := tn.waitFor(tx2.ID)
 	tn.orderers[0].SubmitLocal(tx2)
 	select {
 	case r2 := <-ch2:

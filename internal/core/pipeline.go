@@ -69,6 +69,9 @@ func (n *Node) processLoop() {
 // during §3.6 recovery and forces the seal inline so recovery is
 // deterministic and complete when Start returns.
 func (n *Node) processBlock(b *ledger.Block, replay bool) {
+	if n.halted.Load() {
+		return // failStop: nothing past a durability failure
+	}
 	if int64(b.Number) <= n.store.Height() {
 		// Already reflected in the store: a disk-backed restart restored
 		// state ahead of the (unsynced) block store tail, and catch-up is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +216,86 @@ func TestCrashWithUnsealedBlocksRecovers(t *testing.T) {
 	res, err := restarted.Query(`SELECT COUNT(*) FROM sys_ledger`)
 	if err != nil || res.Rows[0][0].Int() < 6 {
 		t.Fatalf("re-derived ledger rows = %v, %v", res.Rows, err)
+	}
+}
+
+// A block whose outcome-WAL frame cannot be written must never count as
+// sealed: the node fail-stops before MarkDurable, the sealed height and
+// the client notification, processes nothing after it, and a restart
+// recovers it from the durable prefix like any unsealed block.
+func TestOutcomeLogFailureHaltsSeal(t *testing.T) {
+	tn := newTestNet(t, netOpts{
+		flow:     OrderThenExecute,
+		backend:  storage.KindDisk,
+		dataDirs: true,
+		cfg:      ordering.Config{BlockSize: 1, BlockTimeout: 20 * time.Millisecond},
+	})
+	put := func(id int64) TxResult {
+		ch, _ := tn.submit("alice", "put_account", types.NewInt(id), types.NewString("x"), types.NewFloat(1))
+		return tn.await(ch)
+	}
+	first := put(700)
+	tn.waitHeights(int64(first.Block))
+
+	broken := tn.nodes[1]
+	results := broken.SubscribeAll()
+	broken.log.Close() // every later Append fails
+
+	failed := put(701) // commits and seals on the healthy nodes
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && !broken.halted.Load() {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !broken.halted.Load() {
+		t.Fatalf("node did not halt after its outcome WAL failed (height %d, sealed %d)",
+			broken.Height(), broken.SealedHeight())
+	}
+	if got := broken.SealedHeight(); got >= int64(failed.Block) {
+		t.Fatalf("sealed height %d reached block %d, whose outcome frame failed", got, failed.Block)
+	}
+	select {
+	case r := <-results:
+		t.Fatalf("notified %s (block %d) after the outcome WAL failed", r.ID, r.Block)
+	default:
+	}
+	if alerts := broken.Alerts(); len(alerts) != 1 || !strings.Contains(alerts[0], "outcome WAL") {
+		t.Fatalf("alerts = %q", alerts)
+	}
+
+	// Nothing after the failure is processed.
+	haltedAt := broken.Height()
+	later := put(702)
+	for time.Now().Before(deadline) && tn.nodes[2].SealedHeight() < int64(later.Block) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // the block's delivery to the halted node
+	if got := broken.Height(); got != haltedAt {
+		t.Fatalf("halted node moved from height %d to %d", haltedAt, got)
+	}
+
+	// A restart recovers the failed block and catches up.
+	cfg := broken.cfg
+	broken.crashForTest()
+	restarted, err := NewNode(cfg, broken.signer, tn.netReg.Clone(), tn.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Bootstrap(Genesis{Certs: genesisCerts(tn), SQL: testGenesisSQL, Contracts: testContracts}); err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restarted.Stop)
+	deadline = time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) && restarted.SealedHeight() < int64(later.Block) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := restarted.SealedHeight(); got < int64(later.Block) {
+		t.Fatalf("restarted node sealed up to %d, want %d", got, later.Block)
+	}
+	if restarted.StateHash(int64(later.Block)) != tn.nodes[0].StateHash(int64(later.Block)) {
+		t.Fatal("restarted node's state differs from an always-up peer")
 	}
 }
 

@@ -217,7 +217,9 @@ func (n *Node) recoverLocal() error {
 			// The crash hit before the WAL frame was written (§3.6 case
 			// b, which includes blocks committed but not yet sealed):
 			// append the re-derived outcome now.
-			_ = n.log.Append(&wal.BlockRecord{Block: i, Outcomes: outcomes, WriteHash: own})
+			if err := n.log.Append(&wal.BlockRecord{Block: i, Outcomes: outcomes, WriteHash: own}); err != nil {
+				return fmt.Errorf("core: recovery: block %d outcome WAL: %w", i, err)
+			}
 		}
 	}
 	// The restored-prefix loop above adopts one hash per block without

@@ -12,6 +12,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"time"
 
 	"bcrdb/internal/codec"
@@ -28,7 +29,9 @@ import (
 //
 //  1. sys_ledger rows (storage commit frames, not yet synced);
 //  2. write-set digest from the commit-time captures (no store reads);
-//  3. block-outcome WAL frame, fsynced on the disk backend;
+//  3. block-outcome WAL frame, fsynced on the disk backend; if either
+//     fails the node halts here (failStop), so the block is never
+//     marked durable, sealed or announced;
 //  4. MarkDurable — the storage height frame + fsync. Everything before
 //     it (state commits from stage 2, ledger rows, the outcome frame) is
 //     durable once it returns, so a restart that restores height N also
@@ -40,6 +43,9 @@ import (
 // recovery horizon: recovery re-executes it from the block store and
 // re-derives the seal (§3.6 case b).
 func (n *Node) sealStage(task *sealTask) {
+	if n.halted.Load() {
+		return // a block before this one was never made durable
+	}
 	t0 := time.Now()
 	b := task.block
 
@@ -55,13 +61,17 @@ func (n *Node) sealStage(task *sealTask) {
 	n.pruneCheckpoints()
 
 	if n.log != nil && !task.replay {
-		_ = n.log.Append(&wal.BlockRecord{Block: b.Number, Outcomes: task.outcomes, WriteHash: writeHash})
-		if n.diskBacked {
+		err := n.log.Append(&wal.BlockRecord{Block: b.Number, Outcomes: task.outcomes, WriteHash: writeHash})
+		if err == nil && n.diskBacked {
 			// Make the outcome frame durable before the storage horizon
 			// advances past this block: a restored block then always has
 			// its WAL frame for the checkpoint bookkeeping and the replay
 			// cross-check.
-			_ = n.log.Sync()
+			err = n.log.Sync()
+		}
+		if err != nil {
+			n.failStop(fmt.Errorf("block %d outcome WAL: %w", b.Number, err))
+			return
 		}
 	}
 	n.store.MarkDurable(int64(b.Number))
@@ -85,6 +95,22 @@ func (n *Node) sealStage(task *sealTask) {
 	// The seal was the last reader of the block's execution records (the
 	// write-set digest above consumed their captures); recycle them.
 	n.releaseBlockRecords(task.execs)
+}
+
+// failStop halts the node after a durability failure. Like
+// DiskStore.MarkDurable on a storage WAL failure, the node must never
+// acknowledge a block it could not make durable: the failed block and
+// every later one stay unsealed, unannounced and below the durable
+// height, and processBlock drops further blocks. Instead of panicking
+// the node stays up, so Alerts reports the failure; a restart recovers
+// from the durable prefix (§3.6 case b).
+func (n *Node) failStop(err error) {
+	if n.halted.Swap(true) {
+		return
+	}
+	n.cpMu.Lock()
+	n.alerts = append(n.alerts, "halted: "+err.Error())
+	n.cpMu.Unlock()
 }
 
 // releaseBlockRecords returns a sealed block's transaction records to

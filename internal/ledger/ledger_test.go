@@ -1,11 +1,14 @@
 package ledger
 
 import (
+	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"bcrdb/internal/codec"
 	"bcrdb/internal/types"
 )
 
@@ -252,5 +255,52 @@ func TestTransactionSignBytesCoverAllFields(t *testing.T) {
 		if string(tx.SignBytes()) == string(base.SignBytes()) {
 			t.Errorf("mutation %d not covered by SignBytes", i)
 		}
+	}
+}
+
+// The encoding of DOUBLE values is consensus-critical: transaction ids,
+// signatures and block hashes cover it. These bytes and digests were
+// recorded when types.Value still held floats in a float64 field; any
+// change to the value layout must leave them identical.
+func TestFloatEncodingGolden(t *testing.T) {
+	row := types.Row{
+		types.NewFloat(1.5),
+		types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(0),
+		types.NewFloat(math.NaN()),
+		types.NewFloat(math.Inf(1)),
+		types.NewFloat(math.Inf(-1)),
+		types.NewFloat(math.SmallestNonzeroFloat64),
+		types.NewFloat(-2.5e-310),
+		types.NewFloat(math.MaxFloat64),
+		types.NewInt(7),
+	}
+	e := codec.NewBuf(64)
+	e.Row(row)
+	const wantRow = "0a033ff8000000000000038000000000000000030000000000000000037ff8000000000001" +
+		"037ff000000000000003fff00000000000000300000000000000010380002e055c9a3f6c037fefffffffffffff020e"
+	if got := hex.EncodeToString(e.Bytes()); got != wantRow {
+		t.Fatalf("row encoding = %s\nwant %s", got, wantRow)
+	}
+	d := codec.NewDec(e.Bytes())
+	back := d.Row()
+	if err := d.Done(); err != nil || len(back) != len(row) {
+		t.Fatalf("decoded %d values, %v", len(back), err)
+	}
+	for i := range row {
+		if back[i].Kind() != row[i].Kind() || math.Float64bits(back[i].Float()) != math.Float64bits(row[i].Float()) {
+			t.Errorf("value %d decoded as %v, want %v", i, back[i], row[i])
+		}
+	}
+
+	tx := &Transaction{Username: "alice", Contract: "put_account", Args: row, Snapshot: 3}
+	tx.ID = ComputeID(tx.Username, tx.Contract, tx.Args, tx.Snapshot)
+	if want := "af8dac13f0dc4c787e2d920b03030bec"; tx.ID != want {
+		t.Fatalf("ComputeID = %s, want %s", tx.ID, want)
+	}
+	b := &Block{Number: 5, Timestamp: 1700000000000000000, Txs: []*Transaction{tx}}
+	b.ComputeHash()
+	if got, want := hex.EncodeToString(b.Hash[:]), "ab7330c2c6a27b717936e3153e8b08bacace6f9a502d4de0a60db62287098fe6"; got != want {
+		t.Fatalf("block hash = %s, want %s", got, want)
 	}
 }

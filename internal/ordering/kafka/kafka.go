@@ -8,6 +8,9 @@
 // to order and retain messages across orderer crashes; Topic provides
 // exactly those guarantees. Orderer nodes remain untrusted by peers —
 // each signs the blocks it delivers.
+//
+// Every topic subscriber reads from a simnet.Queue: queue memory follows
+// occupancy, and the capacity is a bound, not an allocation.
 package kafka
 
 import (
@@ -42,29 +45,33 @@ type record struct {
 // same records in the same order with the same timestamps.
 type Topic struct {
 	mu      sync.Mutex
-	subs    map[int]chan record
+	subs    map[int]*simnet.Queue[record]
 	nextSub int
 	now     func() time.Time
 }
+
+// subscriberQueue bounds how far one topic consumer may fall behind
+// before publishing stalls.
+const subscriberQueue = 65536
 
 // NewTopic returns an empty topic. now may be nil for wall-clock time.
 func NewTopic(now func() time.Time) *Topic {
 	if now == nil {
 		now = time.Now
 	}
-	return &Topic{now: now, subs: make(map[int]chan record)}
+	return &Topic{now: now, subs: make(map[int]*simnet.Queue[record])}
 }
 
 // subscribe returns an ordered stream of all future records and the
 // subscription id for unsubscribe.
-func (t *Topic) subscribe() (int, chan record) {
+func (t *Topic) subscribe() (int, *simnet.Queue[record]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextSub
 	t.nextSub++
-	ch := make(chan record, 65536)
-	t.subs[id] = ch
-	return id, ch
+	q := simnet.NewQueue[record](subscriberQueue)
+	t.subs[id] = q
+	return id, q
 }
 
 // unsubscribe detaches a crashed consumer so it cannot stall the topic.
@@ -78,8 +85,10 @@ func (t *Topic) publish(r record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r.ts = t.now().UnixNano()
-	for _, ch := range t.subs {
-		ch <- r // buffered; a stalled consumer blocks the topic like a slow Kafka consumer group member
+	for _, q := range t.subs {
+		// A nil done never closes, so Put cannot fail: a stalled consumer
+		// blocks the topic like a slow Kafka consumer group member.
+		_ = q.Put(r, nil)
 	}
 }
 
@@ -125,9 +134,9 @@ func NewOrderer(name string, signer *identity.Signer, topic TopicRef, net *simne
 		return nil, err
 	}
 	o.ep = ep
-	id, ch := topic.subscribe()
+	id, q := topic.subscribe()
 	o.subID = id
-	go o.consume(ch)
+	go o.consume(q)
 	go o.heartbeatLoop()
 	return o, nil
 }
@@ -235,37 +244,36 @@ func (o *Orderer) SubmitLocal(tx *ledger.Transaction) {
 }
 
 // consume drives the cutter from the topic stream.
-func (o *Orderer) consume(ch chan record) {
+func (o *Orderer) consume(q *simnet.Queue[record]) {
 	for {
-		select {
-		case <-o.done:
+		r, err := q.Get(o.done)
+		if err != nil {
 			return
-		case r := <-ch:
-			o.mu.Lock()
-			var blocks []*ledger.Block
-			switch r.kind {
-			case msgTx:
-				hadPending := o.cutter.Pending() > 0
-				if b := o.cutter.AddTx(r.tx, r.ts); b != nil {
-					blocks = append(blocks, b)
-				} else if !hadPending && o.cutter.Pending() > 0 {
-					o.armTimerLocked(o.cutter.NextBlock())
-				}
-			case msgTTC:
-				if b := o.cutter.TimeToCut(r.ttc, r.ts); b != nil {
-					blocks = append(blocks, b)
-				}
-			case msgCheckpoint:
-				o.cutter.AddCheckpoint(r.cp)
-			}
-			// Rearm the timer when transactions remain pending.
-			if len(blocks) > 0 && o.cutter.Pending() > 0 {
+		}
+		o.mu.Lock()
+		var blocks []*ledger.Block
+		switch r.kind {
+		case msgTx:
+			hadPending := o.cutter.Pending() > 0
+			if b := o.cutter.AddTx(r.tx, r.ts); b != nil {
+				blocks = append(blocks, b)
+			} else if !hadPending && o.cutter.Pending() > 0 {
 				o.armTimerLocked(o.cutter.NextBlock())
 			}
-			o.mu.Unlock()
-			for _, b := range blocks {
-				o.deliver(b)
+		case msgTTC:
+			if b := o.cutter.TimeToCut(r.ttc, r.ts); b != nil {
+				blocks = append(blocks, b)
 			}
+		case msgCheckpoint:
+			o.cutter.AddCheckpoint(r.cp)
+		}
+		// Rearm the timer when transactions remain pending.
+		if len(blocks) > 0 && o.cutter.Pending() > 0 {
+			o.armTimerLocked(o.cutter.NextBlock())
+		}
+		o.mu.Unlock()
+		for _, b := range blocks {
+			o.deliver(b)
 		}
 	}
 }

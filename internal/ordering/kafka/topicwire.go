@@ -35,7 +35,7 @@ const (
 // TopicRef is what an Orderer needs from the totally ordered log: the
 // in-process *Topic and the cross-process *TopicClient both satisfy it.
 type TopicRef interface {
-	subscribe() (int, chan record)
+	subscribe() (int, *simnet.Queue[record])
 	unsubscribe(id int)
 	publish(r record)
 }
@@ -127,17 +127,16 @@ func (h *TopicHost) addSub(name string) {
 	if _, ok := h.subs[name]; ok {
 		return
 	}
-	id, ch := h.topic.subscribe()
+	id, q := h.topic.subscribe()
 	s := &hostSub{id: id, done: make(chan struct{})}
 	h.subs[name] = s
 	go func() {
 		for {
-			select {
-			case <-s.done:
+			r, err := q.Get(s.done)
+			if err != nil {
 				return
-			case r := <-ch:
-				_ = h.ep.Send(name, kindSeqRecord, marshalRecord(r))
 			}
+			_ = h.ep.Send(name, kindSeqRecord, marshalRecord(r))
 		}
 	}()
 }
@@ -173,12 +172,12 @@ type TopicClient struct {
 
 	mu     sync.Mutex
 	nextID int
-	subs   map[int]chan record
+	subs   map[int]*simnet.Queue[record]
 }
 
 // DialTopic creates the client endpoint for one orderer.
 func DialTopic(net *simnet.Network, owner string) (*TopicClient, error) {
-	c := &TopicClient{subs: make(map[int]chan record)}
+	c := &TopicClient{subs: make(map[int]*simnet.Queue[record])}
 	ep, err := net.Register(owner+".seq", c.onMessage)
 	if err != nil {
 		return nil, err
@@ -197,23 +196,25 @@ func (c *TopicClient) onMessage(m simnet.Message) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ch := range c.subs {
-		ch <- r // buffered like Topic's; a stalled consumer stalls only its own link
+	for _, q := range c.subs {
+		// Blocks like Topic.publish, and cannot fail for the same reason;
+		// a stalled consumer stalls only its own link.
+		_ = q.Put(r, nil)
 	}
 }
 
-func (c *TopicClient) subscribe() (int, chan record) {
+func (c *TopicClient) subscribe() (int, *simnet.Queue[record]) {
 	c.mu.Lock()
 	id := c.nextID
 	c.nextID++
-	ch := make(chan record, 65536)
-	c.subs[id] = ch
+	q := simnet.NewQueue[record](subscriberQueue)
+	c.subs[id] = q
 	n := len(c.subs)
 	c.mu.Unlock()
 	if n == 1 {
 		_ = c.ep.Send(TopicEndpoint, kindSeqSub, []byte(c.ep.Name()))
 	}
-	return id, ch
+	return id, q
 }
 
 func (c *TopicClient) unsubscribe(id int) {

@@ -13,6 +13,9 @@
 //
 // Handlers run on the delivering link's goroutine: they must be fast or
 // hand off.
+//
+// Each link queues its messages in a Queue: queue memory follows
+// occupancy, and the capacity is a bound, not an allocation.
 package simnet
 
 import (
@@ -112,8 +115,12 @@ type Network struct {
 	faults atomic.Int64
 }
 
+// linkQueue bounds how far a link's delivery may fall behind its
+// senders; Send blocks once that many messages are queued.
+const linkQueue = 4096
+
 type link struct {
-	ch   chan Message
+	q    *Queue[Message]
 	done chan struct{}
 }
 
@@ -309,20 +316,18 @@ func (n *Network) send(msg Message, mayGateway bool) error {
 		}
 		l = n.links[key]
 		if l == nil {
-			l = &link{ch: make(chan Message, 4096), done: make(chan struct{})}
+			l = &link{q: NewQueue[Message](linkQueue), done: make(chan struct{})}
 			n.links[key] = l
 			go n.runLink(key, l)
 		}
 		n.mu.Unlock()
 	}
-	select {
-	case l.ch <- msg:
-		n.msgs.Add(1)
-		n.bytes.Add(int64(len(msg.Payload)))
-		return nil
-	case <-l.done:
-		return ErrClosed
+	if err := l.q.Put(msg, l.done); err != nil {
+		return err
 	}
+	n.msgs.Add(1)
+	n.bytes.Add(int64(len(msg.Payload)))
+	return nil
 }
 
 // runLink delivers one link's traffic in FIFO order. Propagation delay is
@@ -333,65 +338,64 @@ func (n *Network) send(msg Message, mayGateway bool) error {
 func (n *Network) runLink(key [2]string, l *link) {
 	var busyUntil time.Time
 	for {
-		select {
-		case msg := <-l.ch:
-			n.mu.RLock()
-			prof := n.profileFn(msg.From, msg.To)
-			blocked := n.blocked[key]
-			dst := n.endpoints[msg.To]
-			n.mu.RUnlock()
-
-			prop := prof.Latency
-			if prof.Jitter > 0 {
-				n.rngMu.Lock()
-				prop += time.Duration(n.rng.Int63n(int64(prof.Jitter)))
-				n.rngMu.Unlock()
-			}
-			// Fault injection (faults.go): a faulty link may lose the
-			// message outright or add a latency spike, but never
-			// duplicates or reorders (the spike delays the link's whole
-			// busy period, preserving FIFO).
-			if f := n.faultsFor(key); f.active() {
-				drop, spike := n.faultVerdict(key, f, msg.sentAt)
-				if drop {
-					n.faults.Add(1)
-					continue
-				}
-				if spike > 0 {
-					n.faults.Add(1)
-					prop += spike
-				}
-			}
-			// Transmission starts when both the sender NIC and this
-			// link are free.
-			txStart := msg.sentAt
-			if msg.notBefore.After(txStart) {
-				txStart = msg.notBefore
-			}
-			if busyUntil.After(txStart) {
-				txStart = busyUntil
-			}
-			var tx time.Duration
-			if prof.Bandwidth > 0 && len(msg.Payload) > 0 {
-				tx = time.Duration(int64(time.Second) * int64(len(msg.Payload)) / prof.Bandwidth)
-			}
-			busyUntil = txStart.Add(tx)
-			deliverAt := busyUntil.Add(prop)
-			if wait := time.Until(deliverAt); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-l.done:
-					return
-				}
-			}
-			if blocked || dst == nil || dst.stopped.Load() {
-				continue // dropped in flight
-			}
-			if h, ok := dst.handler.Load().(Handler); ok && h != nil {
-				h(msg)
-			}
-		case <-l.done:
+		msg, err := l.q.Get(l.done)
+		if err != nil {
 			return
+		}
+		n.mu.RLock()
+		prof := n.profileFn(msg.From, msg.To)
+		blocked := n.blocked[key]
+		dst := n.endpoints[msg.To]
+		n.mu.RUnlock()
+
+		prop := prof.Latency
+		if prof.Jitter > 0 {
+			n.rngMu.Lock()
+			prop += time.Duration(n.rng.Int63n(int64(prof.Jitter)))
+			n.rngMu.Unlock()
+		}
+		// Fault injection (faults.go): a faulty link may lose the
+		// message outright or add a latency spike, but never
+		// duplicates or reorders (the spike delays the link's whole
+		// busy period, preserving FIFO).
+		if f := n.faultsFor(key); f.active() {
+			drop, spike := n.faultVerdict(key, f, msg.sentAt)
+			if drop {
+				n.faults.Add(1)
+				continue
+			}
+			if spike > 0 {
+				n.faults.Add(1)
+				prop += spike
+			}
+		}
+		// Transmission starts when both the sender NIC and this
+		// link are free.
+		txStart := msg.sentAt
+		if msg.notBefore.After(txStart) {
+			txStart = msg.notBefore
+		}
+		if busyUntil.After(txStart) {
+			txStart = busyUntil
+		}
+		var tx time.Duration
+		if prof.Bandwidth > 0 && len(msg.Payload) > 0 {
+			tx = time.Duration(int64(time.Second) * int64(len(msg.Payload)) / prof.Bandwidth)
+		}
+		busyUntil = txStart.Add(tx)
+		deliverAt := busyUntil.Add(prop)
+		if wait := time.Until(deliverAt); wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-l.done:
+				return
+			}
+		}
+		if blocked || dst == nil || dst.stopped.Load() {
+			continue // dropped in flight
+		}
+		if h, ok := dst.handler.Load().(Handler); ok && h != nil {
+			h(msg)
 		}
 	}
 }

@@ -24,13 +24,17 @@ import (
 type RelayPool struct {
 	routes []relayRoute
 	mu     sync.Mutex
-	queues map[string]chan simnet.Message
+	queues map[string]*simnet.Queue[simnet.Message]
 	done   chan struct{}
 	wg     sync.WaitGroup
 
 	sent    atomic.Int64
 	dropped atomic.Int64
 }
+
+// relayQueue bounds the messages waiting for one peer process; beyond
+// it, relaying drops.
+const relayQueue = 4096
 
 type relayRoute struct {
 	prefixes []string // endpoint-name prefixes owned by the peer
@@ -41,7 +45,7 @@ type relayRoute struct {
 // AddRoute attaches the endpoint prefixes each peer owns.
 func NewRelayPool() *RelayPool {
 	return &RelayPool{
-		queues: make(map[string]chan simnet.Message),
+		queues: make(map[string]*simnet.Queue[simnet.Message]),
 		done:   make(chan struct{}),
 	}
 }
@@ -85,34 +89,31 @@ func (p *RelayPool) enqueue(c *HTTPClient, msg simnet.Message) {
 	}
 	q, ok := p.queues[c.base]
 	if !ok {
-		q = make(chan simnet.Message, 4096)
+		q = simnet.NewQueue[simnet.Message](relayQueue)
 		p.queues[c.base] = q
 		p.wg.Add(1)
 		go p.sender(c, q)
 	}
 	p.mu.Unlock()
-	select {
-	case q <- msg:
-	default:
+	if !q.TryPut(msg) {
 		p.dropped.Add(1) // backpressure: behave like a congested link
 	}
 }
 
-func (p *RelayPool) sender(c *HTTPClient, q chan simnet.Message) {
+func (p *RelayPool) sender(c *HTTPClient, q *simnet.Queue[simnet.Message]) {
 	defer p.wg.Done()
 	for {
-		select {
-		case <-p.done:
+		msg, err := q.Get(p.done)
+		if err != nil {
 			return
-		case msg := <-q:
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := c.Relay(ctx, msg.From, msg.To, msg.Kind, msg.Payload)
-			cancel()
-			if err != nil {
-				p.dropped.Add(1)
-			} else {
-				p.sent.Add(1)
-			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = c.Relay(ctx, msg.From, msg.To, msg.Kind, msg.Payload)
+		cancel()
+		if err != nil {
+			p.dropped.Add(1)
+		} else {
+			p.sent.Add(1)
 		}
 	}
 }

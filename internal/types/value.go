@@ -50,11 +50,13 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed SQL scalar. The zero Value is NULL.
+//
+// A Value is 32 bytes: every row, index key and bound parameter is a
+// slice of them, so the numeric kinds share one payload word.
 type Value struct {
 	kind Kind
-	i    int64   // KindBool (0/1) and KindInt
-	f    float64 // KindFloat
-	s    string  // KindString; KindBytes stores the bytes as a string
+	i    int64  // KindBool (0/1), KindInt, and KindFloat as math.Float64bits
+	s    string // KindString; KindBytes stores the bytes as a string
 }
 
 // Null returns the NULL value.
@@ -73,7 +75,7 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
 
 // NewString returns a TEXT value.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
@@ -108,12 +110,15 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt:
 		return float64(v.i)
 	}
 	panic("types: Float() on " + v.kind.String())
 }
+
+// f decodes a KindFloat payload.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics if v is not TEXT or BYTEA.
 func (v Value) Str() string {
@@ -147,7 +152,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBytes:
@@ -307,8 +312,8 @@ func CoerceToKind(v Value, k Kind) (Value, error) {
 			return NewFloat(float64(v.i)), nil
 		}
 	case KindInt:
-		if v.kind == KindFloat && v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-			return NewInt(int64(v.f)), nil
+		if f := v.f(); v.kind == KindFloat && f == math.Trunc(f) && !math.IsInf(f, 0) {
+			return NewInt(int64(f)), nil
 		}
 	}
 	return Null(), fmt.Errorf("types: cannot coerce %s to %s", v.kind, k)
